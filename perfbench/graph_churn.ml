@@ -122,6 +122,22 @@ let op (s : Serve.t) (t : tenant) : result =
     steps;
   }
 
+(* What a timed tenant op leaves for the summary once its outputs are
+   checked.  Keeping the whole [result] would hold every tenant's graph,
+   live format, kernels and outputs until the end of the run, and the
+   heap would grow with the run's length. *)
+type sample = {
+  s_warm : bool;
+  s_admit_ms : float;
+  s_live_ms : float;
+  s_delta_ms : float;
+  s_info : Hyb.delta_info;
+}
+
+let sample (r : result) : sample =
+  { s_warm = r.warm; s_admit_ms = r.admit_ms; s_live_ms = r.live_ms;
+    s_delta_ms = r.delta_ms; s_info = r.info }
+
 let sim_us (r : result) : float =
   (Gpusim.run_many ~horizontal_fusion:true Outcome.v100 r.steps).Gpusim.p_time_ms
   *. 1000.0
@@ -199,18 +215,20 @@ let run ~seed ~seconds ~trace : Outcome.t =
                   (Tuner.spmm_hyb_candidates Outcome.v100 t.a t.x ~feat))
             :: !tuner_results
       end;
-      out := r :: !out;
+      out := sample r :: !out;
       if List.length !out = heap_tenants then heap := Measure.peak_heap_mb ()
     done;
     Spans.enabled := false;
     (List.rev !out, !bad)
   in
-  let summarize (rs : result list) =
+  let summarize (rs : sample list) =
     let sel f = List.filter_map f rs in
-    let cold = sel (fun r -> if r.warm then None else Some r.admit_ms) in
-    let warm = sel (fun r -> if r.warm then Some r.admit_ms else None) in
-    let deltas = List.map (fun r -> r.delta_ms) rs in
-    let cycles = List.map (fun r -> r.admit_ms +. r.live_ms +. r.delta_ms) rs in
+    let cold = sel (fun r -> if r.s_warm then None else Some r.s_admit_ms) in
+    let warm = sel (fun r -> if r.s_warm then Some r.s_admit_ms else None) in
+    let deltas = List.map (fun r -> r.s_delta_ms) rs in
+    let cycles =
+      List.map (fun r -> r.s_admit_ms +. r.s_live_ms +. r.s_delta_ms) rs
+    in
     (cold, warm, deltas, cycles)
   in
   if not trace then begin
@@ -269,9 +287,9 @@ let run ~seed ~seconds ~trace : Outcome.t =
           Outcome.m "formats.hyb_build_ms" "ms" (med "formats.hyb_build" Spans.Beside);
           Outcome.m "formats.delta_ms" "ms" (med "formats.delta" Spans.Timed);
           Outcome.m "formats.refresh_ms" "ms" (med "formats.refresh" Spans.Timed);
-          Outcome.m "formats.delta_inplace" "count" (fsum (fun r -> r.info.Hyb.di_inplace));
-          Outcome.m "formats.delta_migrated" "count" (fsum (fun r -> r.info.Hyb.di_migrated));
-          Outcome.m "formats.delta_deferred" "count" (fsum (fun r -> r.info.Hyb.di_deferred));
+          Outcome.m "formats.delta_inplace" "count" (fsum (fun r -> r.s_info.Hyb.di_inplace));
+          Outcome.m "formats.delta_migrated" "count" (fsum (fun r -> r.s_info.Hyb.di_migrated));
+          Outcome.m "formats.delta_deferred" "count" (fsum (fun r -> r.s_info.Hyb.di_deferred));
           Outcome.m "tuner.search_ms" "ms" (med "tuner.search" Spans.Beside);
           Outcome.m "gpusim.walk_ms" "ms" (med "gpusim.walk" Spans.Beside);
           Outcome.m "tuner.measured" "count" (tsum (fun r -> r.Tuner.measured));

@@ -1,7 +1,7 @@
-(* The repository benchmark: three workloads that each load a different
-   layer of the stack, measured from outside through the public APIs.
+(* The repository benchmark: two workloads that each load a different
+   part of the stack, measured from outside through the public APIs.
 
-     perfbench --workload serve-mix|sage-train|graph-churn --seed N
+     perfbench --workload serve-mix|graph-churn --seed N
                --seconds S --trace 0|1
 
    --trace 0 measures the end-to-end metrics with tracing off; --trace 1
@@ -17,13 +17,13 @@
 
    Every workload reports every metric of a kind; a per-layer metric a
    workload does not exercise reads 0.  Deterministic numbers (simulated
-   time, compile-cache misses, the graph-churn admission pattern, the
-   1-domain allocation of an epoch) are produced by each of the repeated
-   set-ups and must repeat exactly, or the run is not correct. *)
+   time, compile-cache misses, the graph-churn admission pattern) are
+   produced by each of the repeated set-ups, and the allocation of a
+   1-domain GraphSAGE epoch by each of two epochs; they must repeat
+   exactly, or the run is not correct. *)
 
 let workloads =
-  [ ("serve-mix", Serve_mix.run); ("sage-train", Sage_train.run);
-    ("graph-churn", Graph_churn.run) ]
+  [ ("serve-mix", Serve_mix.run); ("graph-churn", Graph_churn.run) ]
 
 (* The seed used when none is given, and a second seed kept aside for
    checking performance claims. *)
@@ -83,7 +83,7 @@ let () =
   and trace = ref 0 in
   Arg.parse
     [
-      ("--workload", Arg.Set_string workload, " serve-mix | sage-train | graph-churn");
+      ("--workload", Arg.Set_string workload, " serve-mix | graph-churn");
       ("--seed", Arg.Set_int seed, Printf.sprintf " input seed (default %d; claims are re-checked on %d)" default_seed check_seed);
       ("--seconds", Arg.Set_float seconds, " measured time per run");
       ("--trace", Arg.Set_int trace, " 0: end-to-end metrics; 1: traced per-layer run");

@@ -11,24 +11,35 @@
      against the requests it delays; how late the generator ran is
      reported beside it;
    - closed loop keeping [outstanding] requests in flight: completions per
-     second give the capacity.
+     second give the capacity of back-to-back service.
 
    The engine budget is 1 domain: the serving loop spawns one domain per
    batch to run it, which with the generator on the main domain keeps two
    busy domains on a two-core host.  Lowering and tuning are bypassed —
-   every kernel is compiled during set-up. *)
+   every kernel is compiled during set-up.
+
+   After the timed phases, GraphSAGE training epochs run beside the
+   workload ([Sage_epoch]): their outputs and 1-domain allocation are
+   checked on every run, and the traced run takes the engine layer rows
+   from them. *)
 
 open Formats
 module Tr = Serve.Traffic
 
-(* Open-loop arrival rate: below half the closed-loop capacity measured at
-   the parent commit (75-115 completions/s on a 2-core x86-64 host), so
-   queueing stays short and does not amplify host-speed drift. *)
+(* Open-loop arrival rate: below half the closed-loop capacity (75-125
+   completions/s on a 2-core x86-64 host), so queueing stays short and
+   does not amplify host-speed drift. *)
 let rate_per_s = 30.0
 
 (* Share of the run spent in the open loop; the rest is the closed loop. *)
 let open_share = 0.5
-let outstanding = 4
+
+(* One request in flight: the generator sleeps while the serving domain
+   runs, so one core is busy at a time.  With 4 outstanding both cores
+   stay busy and the capacity followed contention from the rest of a
+   shared host: over ten 55-s runs it spread by 32% of its median
+   (96-145 completions/s), against 12% for the open-loop p50. *)
+let outstanding = 1
 
 let config =
   { Serve.max_batch = 4; deadline_ms = 2.0; lease_width = 1; max_inflight = 1 }
@@ -311,9 +322,13 @@ let run ~seed ~seconds ~trace : Outcome.t =
     in
     let st = Serve.stats s in
     let all = served @ closed in
+    let timed_compiles = Outcome.no_compiles ~since:compiles0 in
+    let sage = Sage_epoch.run ~seed ~traced:false in
     {
-      Outcome.attempted = List.length all + (Array.length Tr.families * Outcome.setup_reps);
-      failed = failures all + setup_bad;
+      Outcome.attempted =
+        List.length all + (Array.length Tr.families * Outcome.setup_reps)
+        + sage.Sage_epoch.attempted;
+      failed = failures all + setup_bad + sage.Sage_epoch.failed;
       end_to_end =
         [
           Outcome.m "setup_s" "s" setup_s;
@@ -323,7 +338,8 @@ let run ~seed ~seconds ~trace : Outcome.t =
           Outcome.m "cap_rate_per_s" "1/s" cap;
         ];
       per_layer = [];
-      selfcheck = selfcheck @ Outcome.no_compiles ~since:compiles0;
+      selfcheck =
+        selfcheck @ timed_compiles @ sage.Sage_epoch.selfcheck;
       summary =
         [
           Printf.sprintf "open loop: %d requests at %.0f/s, p50 %.2f ms, p95 %.2f ms (%s)"
@@ -361,15 +377,24 @@ let run ~seed ~seconds ~trace : Outcome.t =
                (Measure.median (Spans.durations ~kind:Spans.Beside name)))
            Tr.families)
     in
-    Spans.enabled := false;
     let st = Serve.stats s in
     let lats = latencies served and plain_lats = latencies plain in
     let dur name = Spans.durations name in
     let nreq = List.length served in
+    let counters = Outcome.counter_rows ~ops:nreq c0 c1 in
+    let accounting =
+      Outcome.accounting_rows
+        ~untraced_p50:(Measure.median plain_lats)
+        ~traced_p50:(Measure.median lats)
+    in
+    (* beside: GraphSAGE training epochs, for the engine layer rows *)
+    let sage = Sage_epoch.run ~seed ~traced:true in
+    Spans.enabled := false;
     {
       Outcome.attempted =
-        List.length plain + nreq + (Array.length Tr.families * Outcome.setup_reps);
-      failed = failures plain + failures served + setup_bad;
+        List.length plain + nreq + (Array.length Tr.families * Outcome.setup_reps)
+        + sage.Sage_epoch.attempted;
+      failed = failures plain + failures served + setup_bad + sage.Sage_epoch.failed;
       end_to_end = [];
       per_layer =
         [
@@ -387,12 +412,8 @@ let run ~seed ~seconds ~trace : Outcome.t =
           Outcome.m "workloads.gen_ms" "ms"
             (match dur "workloads.gen" with d :: _ -> d | [] -> 0.0);
         ]
-        @ family_ms
-        @ Outcome.counter_rows ~ops:nreq c0 c1
-        @ Outcome.accounting_rows
-            ~untraced_p50:(Measure.median plain_lats)
-            ~traced_p50:(Measure.median lats);
-      selfcheck;
+        @ family_ms @ sage.Sage_epoch.per_layer @ counters @ accounting;
+      selfcheck = selfcheck @ sage.Sage_epoch.selfcheck;
       summary =
         [ Printf.sprintf "traced open loop: %d requests (%s)" nreq
             (Serve.stats_to_string st) ];
