@@ -138,8 +138,7 @@ let run graph feat op gpu system engine domains fusion =
   end
 
 (* serve: push the synthetic multi-tenant traffic mix through the serving
-   loop and print its metrics plus the pipeline report (whose serve hook
-   shows the process-wide totals). *)
+   loop and print its metrics plus the pipeline report. *)
 let serve requests max_batch deadline_ms width inflight domains =
   Engine.set_num_domains domains;
   let cfg =

@@ -92,11 +92,12 @@ let set_num_domains n =
   num_domains_ref := (if n <= 0 then Domain.recommended_domain_count () else n)
 
 (* A fixed pool of worker domains, grown lazily and kept for the process
-   lifetime: Domain.spawn per kernel launch costs more than an entire small
-   kernel, which would wreck tuner loops.  Workers idle on a condition
-   variable between parallel regions.  Regions are only ever opened from the
-   main domain (nested thread-bound loops compile serially), so one job slot
-   per worker suffices. *)
+   lifetime: Domain.spawn per kernel launch or per served batch costs more
+   than an entire small kernel.  This is the only place in the stack that
+   spawns a domain.  Workers idle on a condition variable between jobs.
+   Every worker belongs to at most one lease at a time and only the lease's
+   holder posts to it, never before the previous job was taken, so one job
+   slot per worker suffices. *)
 module Pool = struct
   type worker = {
     w_mutex : Mutex.t;
@@ -140,13 +141,19 @@ module Pool = struct
 
   let size () = Array.length !workers
 
+  (* Hand [job] to worker [wi].  [job] must not raise: an escaping exception
+     would end the worker's loop. *)
+  let post (wi : int) (job : unit -> unit) : unit =
+    let w = !workers.(wi) in
+    Mutex.lock w.w_mutex;
+    w.w_job <- Some job;
+    Condition.signal w.w_cond;
+    Mutex.unlock w.w_mutex
+
   (* Run [f 0] on the calling domain and [f 1] .. [f k] on the pool workers
      listed in [idxs] (k = length), waiting for all of them.  The first
      exception any participant raises is re-raised here after the join.
-     Callers must already hold every listed worker: either the whole pool
-     (the main domain's unleased parallel regions) or a leased disjoint
-     subset — the one-job-slot-per-worker protocol relies on it.  Does not
-     [ensure]: the listed workers must exist. *)
+     The caller must hold every listed worker through a lease. *)
   let run_on (idxs : int array) (f : int -> unit) : unit =
     let k = Array.length idxs in
     if k = 0 then f 0
@@ -167,15 +174,7 @@ module Pool = struct
         if !pending = 0 then Condition.signal done_cv;
         Mutex.unlock m
       in
-      let ws = !workers in
-      Array.iteri
-        (fun j wi ->
-          let w = ws.(wi) in
-          Mutex.lock w.w_mutex;
-          w.w_job <- Some (job (j + 1));
-          Condition.signal w.w_cond;
-          Mutex.unlock w.w_mutex)
-        idxs;
+      Array.iteri (fun j wi -> post wi (job (j + 1))) idxs;
       (try f 0 with e -> record_exn e);
       Mutex.lock m;
       while !pending > 0 do
@@ -183,16 +182,6 @@ module Pool = struct
       done;
       Mutex.unlock m;
       match !first_exn with Some e -> raise e | None -> ()
-    end
-
-  (* Run [f 0] .. [f (k-1)] concurrently — [f 0] on the calling domain, the
-     rest on workers 0..k-2 — and wait for all of them.  The unleased
-     whole-pool entry point: only the main domain opens regions this way. *)
-  let run_group (k : int) (f : int -> unit) : unit =
-    if k <= 1 then f 0
-    else begin
-      ensure (k - 1);
-      run_on (Array.init (k - 1) (fun i -> i)) f
     end
 end
 
@@ -202,64 +191,51 @@ let pool_size = Pool.size
 (* Domain leases                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The serving layer admits concurrent independent requests by handing each
-   one a *lease*: an exclusive reservation of [width - 1] pool workers plus
-   the leasing driver's own domain.  Leases partition the pool — worker sets
-   are disjoint, so two leased parallel regions can be open at once without
-   violating the one-job-slot-per-worker protocol.  The sum of outstanding
-   lease widths never exceeds the [num_domains] budget.
-
-   A leased driver makes its lease current with [run_leased] (a DLS slot
-   read by the parallel dispatch), capping that domain's parallel loops at
-   the lease width and steering them onto the leased workers only.  Unleased
-   parallel regions still assume exclusive use of the whole pool, so drivers
-   holding leases must not run concurrently with an unleased main-domain
-   parallel region. *)
+(* Every second domain the stack uses comes from a *lease*: an exclusive
+   reservation of [width] units of the [num_domains] budget, backed by
+   [width - 1] pool workers plus the holder's own domain.  Worker sets are
+   disjoint and the sum of outstanding widths never exceeds the budget, so
+   any number of leased regions can be open at once.  A lease is current on
+   the domain that [run_leased] it; any other domain opening a parallel
+   region leases it for the region's length ([with_region]).  Only the
+   allocator grows the pool, under [lease_lock]. *)
 
 type lease = {
-  l_workers : int array; (* reserved pool worker indices, width - 1 of them *)
+  l_workers : int array; (* width - 1 helpers, then a posted driver's own *)
   l_width : int;
   mutable l_active : bool;
 }
 
 let lease_lock = Mutex.create ()
-let lease_free : int list ref = ref [] (* worker indices not leased out *)
-let lease_created = ref 0 (* workers ever brought under lease management *)
+let lease_free : int list ref = ref [] (* pool workers not leased out *)
 let leased_units = ref 0 (* sum of outstanding lease widths *)
 let leases_active = ref 0
 
-let try_lease ~(width : int) : lease option =
-  let width = max 1 width in
+(* Budget units not held by any lease.  Caller holds [lease_lock]. *)
+let free_units () = max 0 (max 1 !num_domains_ref - !leased_units)
+
+(* Reserve [width] units backed by [width - 1 + extra] pool workers, growing
+   the pool when the free list runs short.  Caller holds [lease_lock] and
+   has checked [free_units]. *)
+let grant ?(extra = 0) (width : int) : lease =
+  let need = width - 1 + extra in
+  let short = need - List.length !lease_free in
+  if short > 0 then begin
+    let have = Pool.size () in
+    Pool.ensure (have + short);
+    lease_free := !lease_free @ List.init short (fun i -> have + i)
+  end;
+  let workers = Array.of_list (List.filteri (fun i _ -> i < need) !lease_free) in
+  lease_free := List.filteri (fun i _ -> i >= need) !lease_free;
+  leased_units := !leased_units + width;
+  incr leases_active;
+  { l_workers = workers; l_width = width; l_active = true }
+
+let lease_exact ?extra (width : int) : lease option =
   Mutex.protect lease_lock (fun () ->
-      let budget = max 1 !num_domains_ref in
-      if !leased_units + width > budget then None
-      else begin
-        let need = width - 1 in
-        let have = List.length !lease_free in
-        if have < need then begin
-          let add = need - have in
-          lease_free :=
-            !lease_free @ List.init add (fun i -> !lease_created + i);
-          lease_created := !lease_created + add;
-          (* spawning happens here, under the allocator lock, never from a
-             driver mid-run: the pool array is only ever grown by the
-             domain holding this lock or by the main domain's run_group *)
-          Pool.ensure !lease_created
-        end;
-        let rec take n acc rest =
-          if n = 0 then (List.rev acc, rest)
-          else
-            match rest with
-            | [] -> assert false
-            | x :: tl -> take (n - 1) (x :: acc) tl
-        in
-        let mine, rest = take need [] !lease_free in
-        lease_free := rest;
-        leased_units := !leased_units + width;
-        incr leases_active;
-        Some { l_workers = Array.of_list mine; l_width = width;
-               l_active = true }
-      end)
+      if free_units () < width then None else Some (grant ?extra width))
+
+let try_lease ~(width : int) : lease option = lease_exact (max 1 width)
 
 let release (l : lease) : unit =
   Mutex.protect lease_lock (fun () ->
@@ -274,7 +250,7 @@ let lease_width (l : lease) = l.l_width
 let leases_in_use () = Mutex.protect lease_lock (fun () -> !leases_active)
 
 (* The lease the executing domain currently runs under, if any; set by
-   [run_leased], consulted by the parallel dispatch closures. *)
+   [run_leased], consulted when a parallel region opens. *)
 let current_lease : lease option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -285,71 +261,123 @@ let run_leased (l : lease) (f : unit -> 'a) : 'a =
   slot := Some l;
   Fun.protect ~finally:(fun () -> slot := saved) f
 
+(* Open a parallel region of at most [want] domains on the calling domain
+   and run [k d launch] in it: [launch body] runs [body 0] on the caller and
+   [body 1] .. [body (d - 1)] on leased workers, and joins them.  The region
+   is carved out of the domain's current lease, or else leased for its
+   length — narrower when fewer units are free, [d = 1] (serial) when none
+   are. *)
+let with_region (want : int) (k : int -> ((int -> unit) -> unit) -> 'a) : 'a =
+  let on l d =
+    k d (fun body -> Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body)
+  in
+  match !(Domain.DLS.get current_lease) with
+  | Some l -> on l (max 1 (min want l.l_width))
+  | None -> (
+      let want = min want !num_domains_ref in
+      let region =
+        if want <= 1 then None
+        else
+          Mutex.protect lease_lock (fun () ->
+              let width = min want (free_units ()) in
+              if width <= 1 then None else Some (grant width))
+      in
+      match region with
+      | None -> k 1 (fun body -> body 0)
+      | Some l ->
+          Fun.protect ~finally:(fun () -> release l) (fun () -> on l l.l_width))
+
+(* A body running under a lease of its own on a reserved pool worker (the
+   serving layer's batch drivers).  The driver's worker sets [dr_result]
+   once, then releases [dr_finished]. *)
+type 'a driver = {
+  dr_lease : lease;
+  dr_result : ('a, exn) result option Atomic.t;
+  dr_finished : Semaphore.Binary.t;
+}
+
+let post_leased ~(width : int) (prepare : unit -> unit -> 'a) :
+    'a driver option =
+  let width = max 1 width in
+  match lease_exact ~extra:1 width with
+  | None -> None
+  | Some l ->
+      let body =
+        try prepare ()
+        with e ->
+          release l;
+          raise e
+      in
+      let dr =
+        { dr_lease = l; dr_result = Atomic.make None;
+          dr_finished = Semaphore.Binary.make false }
+      in
+      Pool.post l.l_workers.(width - 1) (fun () ->
+          Atomic.set dr.dr_result
+            (Some (try Ok (run_leased l body) with e -> Error e));
+          Semaphore.Binary.release dr.dr_finished);
+      Some dr
+
+let driver_done (dr : 'a driver) : bool =
+  Option.is_some (Atomic.get dr.dr_result)
+
+let join_driver (dr : 'a driver) : 'a =
+  Semaphore.Binary.acquire dr.dr_finished;
+  Semaphore.Binary.release dr.dr_finished;
+  release dr.dr_lease;
+  match Atomic.get dr.dr_result with
+  | Some (Ok v) -> v
+  | Some (Error e) -> raise e
+  | None -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* Generic parallel tasks (format construction)                         *)
 (* ------------------------------------------------------------------ *)
 
 (* True while the executing domain is running a [parallel_tasks] task body:
-   nested calls (a task body that itself builds a format) then run serially,
-   because the workers of the outer call are already occupied and the
-   one-job-slot-per-worker protocol admits no re-entry. *)
+   nested calls (a task body that itself builds a format) then run serially
+   rather than competing with their siblings for the budget. *)
 let in_parallel_tasks : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref false)
 
-(* The domain budget a [parallel_tasks] call on this domain would spread
-   over: the lease width for leased drivers, the global knob otherwise, and
-   1 inside a task body.  Construction code sizes its fan-out with this. *)
+(* The width a [parallel_tasks] call on this domain would get if it opened
+   now: the current lease's width, the budget's free units otherwise, and 1
+   inside a task body.  Construction code sizes its fan-out with this. *)
 let parallel_width () : int =
   if !(Domain.DLS.get in_parallel_tasks) then 1
   else
     match !(Domain.DLS.get current_lease) with
     | Some l -> l.l_width
-    | None -> max 1 !num_domains_ref
+    | None -> max 1 (Mutex.protect lease_lock free_units)
 
-(* Run [f 0] .. [f (k-1)], spreading tasks over the engine's domain pool
-   through an atomic cursor.  Composes with leases exactly like the kernel
-   dispatch: a leased driver steers tasks onto its reserved workers only,
-   so multi-tenant batches keep their isolation; unleased callers assume
-   exclusive use of the whole pool (the same contract as any unleased
-   parallel region).  Tasks must be independent — the call gives no
-   ordering between them — and exceptions re-raise after the join.  Used by
-   the format constructors ([Descriptor.build], [Hyb.of_csr]) for
+(* Run [f 0] .. [f (k-1)] in one parallel region, spreading tasks over its
+   domains through an atomic cursor.  Tasks must be independent — the call
+   gives no ordering between them — and exceptions re-raise after the join.
+   Used by the format constructors ([Descriptor.build], [Hyb.of_csr]) for
    partition-parallel construction. *)
 let parallel_tasks (k : int) (f : int -> unit) : unit =
-  if k <= 0 then ()
-  else begin
-    let lease = !(Domain.DLS.get current_lease) in
-    let budget =
-      if !(Domain.DLS.get in_parallel_tasks) then 1
-      else match lease with Some l -> l.l_width | None -> !num_domains_ref
-    in
-    let d = min (max 1 budget) k in
-    if d <= 1 then
-      for i = 0 to k - 1 do
-        f i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let body _ =
-        let flag = Domain.DLS.get in_parallel_tasks in
-        flag := true;
-        Fun.protect
-          ~finally:(fun () -> flag := false)
-          (fun () ->
-            let rec pull () =
-              let i = Atomic.fetch_and_add cursor 1 in
-              if i < k then begin
-                f i;
-                pull ()
-              end
-            in
-            pull ())
-      in
-      match lease with
-      | Some l -> Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body
-      | None -> Pool.run_group d body
-    end
-  end
+  let want = if !(Domain.DLS.get in_parallel_tasks) then 1 else k in
+  with_region want (fun d launch ->
+      if d <= 1 then
+        for i = 0 to k - 1 do
+          f i
+        done
+      else
+        let cursor = Atomic.make 0 in
+        launch (fun _ ->
+            let flag = Domain.DLS.get in_parallel_tasks in
+            flag := true;
+            Fun.protect
+              ~finally:(fun () -> flag := false)
+              (fun () ->
+                let rec pull () =
+                  let i = Atomic.fetch_and_add cursor 1 in
+                  if i < k then begin
+                    f i;
+                    pull ()
+                  end
+                in
+                pull ())))
 
 (* ------------------------------------------------------------------ *)
 (* Chunking and output tiling                                           *)
@@ -1247,16 +1275,9 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           fun st ->
             let n = ext st in
             run_prologue st;
-            (* a leased driver caps its parallel loops at the lease width
-               and steers them onto the leased workers only; unleased
-               domains (the main domain) use the whole budget and pool *)
-            let lease = !(Domain.DLS.get current_lease) in
-            let budget =
-              match lease with
-              | Some l -> l.l_width
-              | None -> !num_domains_ref
-            in
-            let d = min budget n in
+            (* the region's width and workers come from a lease: the
+               driver's current one, or one held for this run alone *)
+            with_region n @@ fun d launch ->
             if d <= 1 then iter st 0 n
             else begin
               (* runtime facts for every gather map: injective maps scatter
@@ -1412,12 +1433,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                           strips
                       done
                     end;
-                    let launch body =
-                      match lease with
-                      | Some l ->
-                          Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body
-                      | None -> Pool.run_group d body
-                    in
                     (match bounds with
                     | Some b when steal ->
                         (* monotone-gather segments as steal units: every

@@ -35,7 +35,8 @@ val slot_counts : compiled -> int * int * int
 
 val par_runs : compiled -> int
 (** Executions of this artifact's thread-bound outer loops that took the
-    domains-parallel path (disjointness proven, [num_domains () > 1]). *)
+    domains-parallel path (disjointness proven, a region wider than one
+    domain granted). *)
 
 val fallback_runs : compiled -> int
 (** Executions of thread-bound outer loops forced serial because
@@ -156,8 +157,8 @@ val set_num_domains : int -> unit
 (** Set the domain budget.  This is the single clamp in the stack: any
     value [<= 0] uniformly means "auto" ([Domain.recommended_domain_count]),
     and the CLI [--domains], bench [--domains=] and [?num_domains] all pass
-    their value through here unchanged.  Worker domains are spawned lazily
-    on first parallel run and kept for the process lifetime. *)
+    their value through here unchanged.  Worker domains are spawned lazily,
+    only by the lease allocator, and kept for the process lifetime. *)
 
 val pool_size : unit -> int
 (** Worker domains spawned so far (excludes the calling domain). *)
@@ -173,41 +174,16 @@ val stolen_chunks : unit -> int
 (** Steal transfers performed by the work-stealing scheduler since the last
     {!reset} (0 when every loop used the cursor or no parallelism ran). *)
 
-(** {1 Parallel construction tasks}
-
-    Format constructors ({!Formats.Descriptor.build}, [Hyb.of_csr]) spread
-    independent construction tasks over the same domain pool the kernel
-    dispatch uses.  The entry points compose with leases exactly like
-    parallel loops: a leased driver's tasks run on its reserved workers
-    only, an unleased caller assumes the whole pool, and a task body that
-    itself calls [parallel_tasks] runs its tasks serially (the pool is
-    already occupied one level up). *)
-
-val parallel_tasks : int -> (int -> unit) -> unit
-(** [parallel_tasks k f] runs [f 0 .. f (k-1)] to completion, spread over
-    the current domain budget via an atomic cursor.  Tasks must be
-    independent; no ordering is guaranteed between them.  The first
-    exception any task raises is re-raised after all tasks finish.  Runs
-    serially when the budget is 1 or when called from inside a task. *)
-
-val parallel_width : unit -> int
-(** The domain budget a {!parallel_tasks} call on this domain would spread
-    over: the lease width for leased drivers, {!num_domains} otherwise, and
-    [1] inside a task body.  Lets construction code size its fan-out (and
-    skip slicing work that would not parallelize). *)
-
 (** {1 Domain leases}
 
-    The serving layer ({!module:Serve}) admits concurrent independent
-    requests by giving each one an exclusive reservation of a disjoint
-    subset of the worker pool: a lease of width [w] covers [w - 1] pool
-    workers plus the leasing driver's own domain.  The sum of outstanding
-    widths never exceeds {!num_domains}.  A driver wraps its request
-    execution in {!run_leased}; parallel loops run on that domain are then
-    capped at the lease width and dispatched onto the leased workers only,
-    so two leased regions can be open at once.  Unleased parallel regions
-    (the main domain's ordinary executes) still assume exclusive use of the
-    whole pool and must not overlap with active leases. *)
+    Every second domain comes from the persistent pool under a lease: [w]
+    units of the {!num_domains} budget, backed by [w - 1] pool workers plus
+    the holder's own domain.  Worker sets are disjoint and outstanding
+    widths never exceed the budget.  A parallel region (a [Par] loop or a
+    {!parallel_tasks} call) on a domain with a current lease ({!run_leased})
+    runs on that lease's workers; on any other domain it leases its width
+    for its own length — narrower when fewer units are free, serial when
+    none are. *)
 
 type lease
 (** An exclusive reservation of part of the domain budget. *)
@@ -224,12 +200,48 @@ val release : lease -> unit
 val lease_width : lease -> int
 
 val run_leased : lease -> (unit -> 'a) -> 'a
-(** Run [f] with the lease current for the calling domain: parallel loops
+(** Run [f] with the lease current for the calling domain: parallel regions
     inside use at most [lease_width] domains, steered onto the leased
     workers.  Raises [Invalid_argument] on a released lease. *)
 
 val leases_in_use : unit -> int
-(** Outstanding (unreleased) leases. *)
+(** Outstanding (unreleased) leases, including parallel regions' own. *)
+
+type 'a driver
+(** A body running under a lease of its own on a reserved pool worker. *)
+
+val post_leased : width:int -> (unit -> unit -> 'a) -> 'a driver option
+(** [post_leased ~width prepare] leases [width] units (at least 1) plus a
+    pool worker for the driver itself, then runs [prepare ()] on the caller
+    (for work that must stay there, such as compilation) and posts the body
+    it returns onto the driver's worker under {!run_leased}.  [None], having
+    called nothing, when fewer than [width] units are free. *)
+
+val driver_done : 'a driver -> bool
+(** The body has returned or raised.  Non-blocking. *)
+
+val join_driver : 'a driver -> 'a
+(** Wait for the body, release its lease, and return its result or
+    re-raise its exception. *)
+
+(** {1 Parallel construction tasks}
+
+    Format constructors ({!Formats.Descriptor.build}, [Hyb.of_csr]) spread
+    independent construction tasks over the leased pool. *)
+
+val parallel_tasks : int -> (int -> unit) -> unit
+(** [parallel_tasks k f] runs [f 0 .. f (k-1)] to completion in one parallel
+    region, spread over its domains via an atomic cursor.  Tasks must be
+    independent; no ordering is guaranteed between them.  The first
+    exception any task raises is re-raised after all tasks finish.  Runs
+    serially when no second domain is free or when called from inside a
+    task. *)
+
+val parallel_width : unit -> int
+(** The width a {!parallel_tasks} call on this domain would get if it opened
+    now: the lease width for leased drivers, the budget's free units
+    otherwise, and [1] inside a task body.  Lets construction code size its
+    fan-out (and skip slicing work that would not parallelize). *)
 
 (** {1 Engine selection and memoized dispatch} *)
 

@@ -94,13 +94,10 @@ let trace_of (passes : Pass.t list) : string =
   String.concat ";" (List.map (fun (p : Pass.t) -> p.Pass.p_trace) passes)
 
 let run ?(verify = true) ?(use_cache = true) ?(dump_ir = false)
-    ?(start : stage = Coord) ?engine ?num_domains
+    ?(start : stage = Coord) ?engine
     ?(bind : (string * Tensor.t) list = []) (passes : Pass.t list)
     (fn : Ir.func) : Ir.func =
   let t0 = Unix.gettimeofday () in
-  (* the domain budget is read by compiled artifacts at execution time, so
-     setting it here covers every later run of this pipeline's output *)
-  Option.iter Engine.set_num_domains num_domains;
   let engine =
     match engine with Some k -> k | None -> !Engine.default_kind
   in
@@ -224,8 +221,8 @@ let run ?(verify = true) ?(use_cache = true) ?(dump_ir = false)
 (* ------------------------------------------------------------------ *)
 
 (* Both lowering passes: Stage I -> Stage III, verified at each boundary. *)
-let lower ?verify ?use_cache ?dump_ir ?engine ?num_domains ?bind fn =
-  run ?verify ?use_cache ?dump_ir ?engine ?num_domains ?bind
+let lower ?verify ?use_cache ?dump_ir ?engine ?bind fn =
+  run ?verify ?use_cache ?dump_ir ?engine ?bind
     [ Pass.lower_iterations; Pass.lower_buffers ] fn
 
 (* The standard kernel pipeline: optional Stage I rewrites, the two
@@ -233,10 +230,9 @@ let lower ?verify ?use_cache ?dump_ir ?engine ?num_domains ?bind fn =
    parameter [sched] closes over.  [bind] (the tensors the caller will run
    the kernel against) lets the cache snapshot their declared facts; see
    [Cache.snapshot_facts]. *)
-let compile ?verify ?use_cache ?dump_ir ?engine ?num_domains ?bind
-    ?(coord = []) ~name ~trace (sched : Ir.func -> Ir.func) (fn : Ir.func) :
-    Ir.func =
-  run ?verify ?use_cache ?dump_ir ?engine ?num_domains ?bind
+let compile ?verify ?use_cache ?dump_ir ?engine ?bind ?(coord = []) ~name
+    ~trace (sched : Ir.func -> Ir.func) (fn : Ir.func) : Ir.func =
+  run ?verify ?use_cache ?dump_ir ?engine ?bind
     (coord
     @ [ Pass.lower_iterations; Pass.lower_buffers;
         Pass.schedule ~name ~trace sched ])
@@ -259,13 +255,6 @@ let stats_to_string (st : stats) : string =
         p.ps_after.sz_buffers)
     st.st_passes;
   Buffer.contents b
-
-(* Subsystems downstream of the pipeline (the serving layer) register a
-   hook whose output is appended to [report]; a hook returning "" adds
-   nothing.  Hooks persist across [reset] — each owns its own lifecycle. *)
-let report_hooks : (unit -> string) list ref = ref []
-let add_report_hook (f : unit -> string) : unit =
-  report_hooks := f :: !report_hooks
 
 (* Aggregate per-pass totals over every pipeline run since [reset]. *)
 let report () : string =
@@ -292,7 +281,6 @@ let report () : string =
         (%s)\n"
        par tiled fb
        (Engine.reasons_to_string (Engine.reason_totals ())));
-  List.iter (fun h -> Buffer.add_string b (h ())) (List.rev !report_hooks);
   let order = ref [] in
   let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter

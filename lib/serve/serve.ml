@@ -12,12 +12,12 @@
      buffer ids ([batch_func]), the bodies sequenced, and the per-request
      argument lists concatenated — one launch serves the whole batch.
 
-   - Admission via domain leases.  Each launched batch takes an
-     [Engine.try_lease] on a disjoint slice of the worker pool and runs on
-     its own driver domain under [Engine.run_leased], so two batches
-     execute concurrently without sharing workers.  Admission is bounded by
-     [max_inflight] and by the lease budget; a batch that cannot get a
-     lease waits for a running one to retire.
+   - Admission via domain leases.  Each launched batch is posted with
+     [Engine.post_leased]: it leases a disjoint slice of the engine's
+     persistent worker pool and runs on one reserved pool worker under that
+     lease, so two batches execute concurrently without sharing workers.
+     Admission is bounded by [max_inflight] and by the lease budget; a batch
+     that cannot get a lease waits for a running one to retire.
 
    - Tenant-scoped artifact reuse.  Batched funcs are cached in the
      pipeline compile cache under "serve!tenant!..." keys, so steady-state
@@ -30,7 +30,7 @@
    (and unconditionally at drain end).  All compilation, cache access and
    batch formation happen on the draining domain; driver domains only run
    already-compiled artifacts, so no shared mutable state crosses domains
-   except tensors (disjoint per request) and the done flag.  See
+   except tensors (disjoint per request) and the driver's result.  See
    DESIGN.md §3h. *)
 
 module Traffic = Traffic
@@ -189,7 +189,7 @@ type config = {
   max_batch : int;  (** flush a group at this many waiters *)
   deadline_ms : float;  (** ... or when its oldest waiter is this old *)
   lease_width : int;  (** domains leased per launched batch *)
-  max_inflight : int;  (** concurrent driver domains *)
+  max_inflight : int;  (** concurrent batch drivers *)
 }
 
 let default_config =
@@ -204,13 +204,7 @@ type request = {
   mutable rq_done : float;
 }
 
-type inflight = {
-  in_reqs : request list;
-  in_lease : Engine.lease;
-  in_done : bool Atomic.t;
-  in_fail : exn option Atomic.t;
-  in_domain : unit Domain.t;
-}
+type inflight = { in_reqs : request list; in_driver : unit Engine.driver }
 
 type t = {
   cfg : config;
@@ -230,29 +224,7 @@ type t = {
   mutable t_last : float;  (** last batch retirement *)
 }
 
-(* Process-wide totals for [Pipeline.report]. *)
-let total_requests = ref 0
-let total_batches = ref 0
-let total_occupancy = ref 0
-let total_warm = ref 0
-let total_cold = ref 0
-
-let hook_installed = ref false
-
 let create ?(config = default_config) () : t =
-  if not !hook_installed then begin
-    hook_installed := true;
-    Pipeline.add_report_hook (fun () ->
-        if !total_requests = 0 then ""
-        else
-          Printf.sprintf
-            "serve: %d requests in %d batches (%.2f avg occupancy), batched \
-             artifacts %d warm / %d cold\n"
-            !total_requests !total_batches
-            (float_of_int !total_occupancy
-            /. float_of_int (max 1 !total_batches))
-            !total_warm !total_cold)
-  end;
   {
     cfg =
       {
@@ -356,15 +328,19 @@ let submit_spmm_tuned ?(spec = Gpusim.Spec.v100) ?rho ?topk (t : t)
 (* Batched-artifact resolution (tenant-scoped cache)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One (artifact, argument list) per step of the batch.  Batched funcs are
-   cached in the shared pipeline cache under a tenant-scoped key so the LRU
-   owns their engine artifacts; the [compiled] value is held directly in
-   the plan, so a later eviction (which only unregisters the memo entry)
-   cannot invalidate an already-formed plan. *)
+(* One (artifact, argument list) per step of the batch, which is counted in
+   the server's stats here.  Batched funcs are cached in the shared pipeline
+   cache under a tenant-scoped key so the LRU owns their engine artifacts;
+   the [compiled] value is held directly in the plan, so a later eviction
+   (which only unregisters the memo entry) cannot invalidate an
+   already-formed plan. *)
 let plan_of (t : t) (reqs : request list) :
     (Engine.compiled * Tensor.t list) list =
   let b = List.length reqs in
   let head = List.hd reqs in
+  t.batches <- t.batches + 1;
+  t.launches <- t.launches + List.length head.rq_steps;
+  t.occupancy_sum <- t.occupancy_sum + b;
   List.mapi
     (fun s ((tmpl : func), _) ->
       let key =
@@ -375,7 +351,6 @@ let plan_of (t : t) (reqs : request list) :
         match Pipeline.Cache.find Pipeline.shared_cache key with
         | Some e -> (
             t.warm_hits <- t.warm_hits + 1;
-            incr total_warm;
             match e.Pipeline.Cache.e_artifact with
             | Some c ->
                 (* re-seed the engine memo in case [Engine.reset] dropped it *)
@@ -387,7 +362,6 @@ let plan_of (t : t) (reqs : request list) :
                 c)
         | None ->
             t.cold_misses <- t.cold_misses + 1;
-            incr total_cold;
             let bfn = batch_func ~copies:b tmpl in
             let c = Engine.artifact bfn in
             ignore (Pipeline.Cache.add Pipeline.shared_cache key ~artifact:c bfn);
@@ -436,71 +410,66 @@ let take_batch (t : t) ~(force : bool) ~(now : float) : request list option =
   in
   scan [] t.pending
 
-let launch (t : t) (reqs : request list) (lease : Engine.lease) : unit =
-  let plan = plan_of t reqs in
-  let done_flag = Atomic.make false in
-  let fail = Atomic.make None in
-  let dom =
-    Domain.spawn (fun () ->
-        (try
-           Engine.run_leased lease (fun () ->
-               List.iter (fun (c, args) -> Engine.run c args) plan)
-         with e -> Atomic.set fail (Some e));
-        let tdone = Unix.gettimeofday () in
-        List.iter (fun r -> r.rq_done <- tdone) reqs;
-        Atomic.set done_flag true)
+(* Run a plan's steps, then stamp its requests done (also on failure). *)
+let run_plan plan (reqs : request list) : unit =
+  Fun.protect
+    ~finally:(fun () ->
+      let tdone = Unix.gettimeofday () in
+      List.iter (fun r -> r.rq_done <- tdone) reqs)
+    (fun () -> List.iter (fun (c, args) -> Engine.run c args) plan)
+
+(* Move a finished batch's requests to [completed]. *)
+let retire (t : t) (reqs : request list) : unit =
+  List.iter
+    (fun r ->
+      t.t_last <-
+        (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done))
+    reqs;
+  t.completed <- reqs @ t.completed
+
+(* Post a batch onto a leased pool worker; its plan is formed on the
+   draining domain once the lease is granted.  [false] when the budget has
+   no room for the lease. *)
+let launch (t : t) (reqs : request list) ~(width : int) : bool =
+  let prepare () =
+    let plan = plan_of t reqs in
+    fun () -> run_plan plan reqs
   in
-  t.batches <- t.batches + 1;
-  incr total_batches;
-  t.launches <- t.launches + List.length plan;
-  t.occupancy_sum <- t.occupancy_sum + List.length reqs;
-  total_occupancy := !total_occupancy + List.length reqs;
-  total_requests := !total_requests + List.length reqs;
-  t.inflight <-
-    {
-      in_reqs = reqs;
-      in_lease = lease;
-      in_done = done_flag;
-      in_fail = fail;
-      in_domain = dom;
-    }
-    :: t.inflight
+  match Engine.post_leased ~width prepare with
+  | Some d ->
+      t.inflight <- { in_reqs = reqs; in_driver = d } :: t.inflight;
+      true
+  | None -> false
 
 (* Last-resort progress: run a batch synchronously on the draining domain,
    no lease and no driver.  Used only when nothing is inflight and no lease
    can be had (e.g. the budget is held by leases outside this server), so
    [drain] terminates instead of spinning. *)
 let run_inline (t : t) (reqs : request list) : unit =
-  let plan = plan_of t reqs in
-  List.iter (fun (c, args) -> Engine.run c args) plan;
-  let tdone = Unix.gettimeofday () in
-  List.iter (fun r -> r.rq_done <- tdone) reqs;
-  t.batches <- t.batches + 1;
-  incr total_batches;
-  t.launches <- t.launches + List.length plan;
-  t.occupancy_sum <- t.occupancy_sum + List.length reqs;
-  total_occupancy := !total_occupancy + List.length reqs;
-  total_requests := !total_requests + List.length reqs;
-  t.t_last <- (if Float.is_nan t.t_last then tdone else max t.t_last tdone);
-  t.completed <- reqs @ t.completed
+  run_plan (plan_of t reqs) reqs;
+  retire t reqs
 
 (* Retire finished batches; returns whether any retired.  A driver failure
-   re-raises on the draining domain after its lease is released. *)
+   re-raises on the draining domain once every finished batch is retired
+   and its lease released. *)
 let reap (t : t) : bool =
-  let fin, still = List.partition (fun i -> Atomic.get i.in_done) t.inflight in
+  let fin, still =
+    List.partition (fun i -> Engine.driver_done i.in_driver) t.inflight
+  in
   t.inflight <- still;
-  List.iter
-    (fun i ->
-      Domain.join i.in_domain;
-      Engine.release i.in_lease;
-      List.iter
-        (fun r ->
-          t.t_last <-
-            (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done))
-        i.in_reqs;
-      t.completed <- i.in_reqs @ t.completed;
-      match Atomic.get i.in_fail with Some e -> raise e | None -> ())
-    fin;
+  let failures =
+    List.filter_map
+      (fun i ->
+        let failure =
+          match Engine.join_driver i.in_driver with
+          | () -> None
+          | exception e -> Some e
+        in
+        retire t i.in_reqs;
+        failure)
+      fin
+  in
+  (match failures with e :: _ -> raise e | [] -> ());
   fin <> []
 
 (* Admit at most one batch; returns whether one launched. *)
@@ -509,16 +478,13 @@ let admit (t : t) ~(force : bool) ~(now : float) : bool =
   else
     match take_batch t ~force ~now with
     | None -> false
-    | Some reqs -> (
+    | Some reqs ->
         let width = min t.cfg.lease_width (Engine.num_domains ()) in
-        match Engine.try_lease ~width with
-        | Some lease ->
-            launch t reqs lease;
-            true
-        | None ->
-            (* No capacity: requeue and wait for a retirement. *)
-            t.pending <- List.sort by_id (reqs @ t.pending);
-            false)
+        let launched = launch t reqs ~width in
+        if not launched then
+          (* No capacity: requeue and wait for a retirement. *)
+          t.pending <- List.sort by_id (reqs @ t.pending);
+        launched
 
 (* Opportunistic progress: retire finished batches and admit ready groups.
    Non-blocking; callers interleave [pump] with [submit] to overlap request
@@ -631,10 +597,3 @@ let stats_to_string (s : stats) : string =
     s.s_requests s.s_batches s.s_occupancy s.s_req_per_s s.s_p50_ms s.s_p99_ms
     s.s_max_queue s.s_warm_hits s.s_cold_misses (100.0 *. s.s_warm_ratio)
     tuner
-
-let reset_totals () =
-  total_requests := 0;
-  total_batches := 0;
-  total_occupancy := 0;
-  total_warm := 0;
-  total_cold := 0

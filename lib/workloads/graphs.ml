@@ -87,15 +87,22 @@ let generate ?(seed = 7) (s : spec) : Csr.t =
   let module IS = Set.Make (Int) in
   for i = 0 to n - 1 do
     let d = degs.(i) in
-    let chosen = ref IS.empty in
+    (* [count] tracks the size of [chosen]: [IS.cardinal] is O(d) *)
+    let chosen = ref IS.empty and count = ref 0 in
+    let add j =
+      if not (IS.mem j !chosen) then begin
+        chosen := IS.add j !chosen;
+        incr count
+      end
+    in
     let tries = ref 0 in
-    while IS.cardinal !chosen < d && !tries < 8 * d do
+    while !count < d && !tries < 8 * d do
       incr tries;
-      chosen := IS.add (sample_col ()) !chosen
+      add (sample_col ())
     done;
     (* top up with distinct uniform columns if weighted sampling stalled *)
-    while IS.cardinal !chosen < d do
-      chosen := IS.add (Rng.int g n) !chosen
+    while !count < d do
+      add (Rng.int g n)
     done;
     List.iteri
       (fun k j -> indices.(indptr.(i) + k) <- j)

@@ -83,6 +83,77 @@ let test_lease_accounting () =
         (Invalid_argument "Engine.run_leased: released lease") (fun () ->
           Engine.run_leased l1 (fun () -> ())))
 
+(* A posted driver runs on a pool worker of its own and holds its lease
+   until joined; join re-raises the body's exception and still releases. *)
+let test_leased_driver () =
+  with_domains 2 (fun () ->
+      let caller = (Domain.self () :> int) in
+      let d =
+        Option.get
+          (Engine.post_leased ~width:2 (fun () () -> (Domain.self () :> int)))
+      in
+      Alcotest.(check bool) "driver holds the budget until joined" true
+        (Option.is_none (Engine.try_lease ~width:1));
+      Alcotest.(check bool) "body ran off the caller" true
+        (Engine.join_driver d <> caller);
+      Alcotest.(check int) "join released the lease" 0 (Engine.leases_in_use ());
+      let d =
+        Option.get (Engine.post_leased ~width:1 (fun () () -> failwith "body"))
+      in
+      Alcotest.check_raises "join re-raises" (Failure "body") (fun () ->
+          Engine.join_driver d);
+      Alcotest.(check int) "failed driver released" 0 (Engine.leases_in_use ()))
+
+(* A parallel region opened on an unleased domain while leases hold the
+   whole budget must not touch the leased workers: no unit is free, so it
+   runs on the caller's domain alone.  A Par-loop kernel run that way stays
+   bit-identical to 1-domain execution. *)
+let test_unleased_region_respects_leases () =
+  with_domains 2 (fun () ->
+      let a = graph () in
+      let feat = 16 in
+      let x = Dense.random ~seed:4 a.Csr.cols feat in
+      let run ?num_domains (k : Kernels.Spmm.compiled) =
+        Tir.Tensor.fill_f k.Kernels.Spmm.out 0.0;
+        Gpusim.execute ?num_domains k.Kernels.Spmm.fn k.Kernels.Spmm.bindings;
+        Tir.Tensor.to_float_array k.Kernels.Spmm.out
+      in
+      let k = Kernels.Spmm.sparsetir_no_hyb a x ~feat in
+      let serial = run ~num_domains:1 k in
+      let art = Engine.artifact k.Kernels.Spmm.fn in
+      let lease = Option.get (Engine.try_lease ~width:2) in
+      let leased_par, leased_out =
+        Fun.protect
+          ~finally:(fun () -> Engine.release lease)
+          (fun () ->
+            let caller = (Domain.self () :> int) in
+            let seen = Array.make 4 (-1) in
+            (* each task sleeps so a woken worker would get to pull one *)
+            Engine.parallel_tasks 4 (fun i ->
+                Unix.sleepf 0.005;
+                seen.(i) <- (Domain.self () :> int));
+            Array.iteri
+              (fun i d ->
+                Alcotest.(check int)
+                  (Printf.sprintf "task %d ran on the caller" i)
+                  caller d)
+              seen;
+            let par0 = Engine.par_runs art in
+            let out = run k in
+            (Engine.par_runs art - par0, out))
+      in
+      Alcotest.(check int) "kernel took no leased worker" 0 leased_par;
+      Alcotest.(check bool) "kernel under a full lease = 1 domain" true
+        (leased_out = serial);
+      let par0 = Engine.par_runs art in
+      let free_out = run k in
+      Alcotest.(check bool) "the kernel is a Par loop" true
+        (Engine.par_runs art > par0);
+      Alcotest.(check bool) "kernel at 2 domains = 1 domain" true
+        (free_out = serial);
+      Alcotest.(check int) "region leases released" 0
+        (Engine.leases_in_use ()))
+
 (* ---------------- served = sequential (QCheck) ---------------- *)
 
 (* One served window: submit [requests] mixed-tenant instances in a
@@ -203,8 +274,10 @@ let () =
           Alcotest.test_case "single copy is identity" `Quick
             test_batch_func_single_copy_is_identity ] );
       ( "leases",
-        [ Alcotest.test_case "lease accounting" `Quick test_lease_accounting ]
-      );
+        [ Alcotest.test_case "lease accounting" `Quick test_lease_accounting;
+          Alcotest.test_case "leased driver" `Quick test_leased_driver;
+          Alcotest.test_case "unleased region respects leases" `Quick
+            test_unleased_region_respects_leases ] );
       ( "scheduling",
         [ QCheck_alcotest.to_alcotest qcheck_serve_sequential;
           QCheck_alcotest.to_alcotest qcheck_serve_under_eviction;

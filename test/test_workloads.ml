@@ -12,6 +12,32 @@ let test_determinism () =
   Alcotest.(check bool) "same structure" true
     (Dense.max_abs_diff (Csr.to_dense a) (Csr.to_dense b) = 0.0)
 
+(* The generators must keep producing the exact graphs every pinned figure
+   and benchmark was measured on: indptr/indices fingerprints of a seeded
+   power-law graph small enough to exhaust weighted sampling (its top-up
+   path runs), cora, and the reddit stand-in. *)
+let fingerprint (a : Csr.t) : int =
+  let h = ref 0 in
+  let mix x = h := (!h * 1_000_003) lxor x in
+  Array.iter mix a.Csr.indptr;
+  Array.iter mix a.Csr.indices;
+  !h
+
+let test_pinned_fingerprints () =
+  let small =
+    Workloads.Graphs.generate ~seed:3
+      { Workloads.Graphs.g_name = "fingerprint"; g_nodes = 300;
+        g_edges = 6000; g_shape = Workloads.Graphs.Power_law 1.5 }
+  in
+  List.iter
+    (fun (name, a, nnz, fp) ->
+      Alcotest.(check int) (name ^ " nnz") nnz (Csr.nnz a);
+      Alcotest.(check int) (name ^ " fingerprint") fp (fingerprint a))
+    [ ("power-law 1.5", small, 5654, 2669010221219971584);
+      ("cora", Workloads.Graphs.by_name "cora", 10465, -4504123975782827361);
+      ( "reddit", Workloads.Graphs.by_name "reddit", 1279669,
+        -2463046067829737283 ) ]
+
 let test_edge_counts_close () =
   List.iter
     (fun (s : Workloads.Graphs.spec) ->
@@ -126,6 +152,8 @@ let () =
   Alcotest.run "workloads"
     [ ( "graphs",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "pinned fingerprints" `Quick
+            test_pinned_fingerprints;
           Alcotest.test_case "edge counts" `Quick test_edge_counts_close;
           Alcotest.test_case "degree shapes" `Quick test_degree_shapes ] );
       ("hetero", [ Alcotest.test_case "relation skew" `Quick test_hetero_zipf ]);
