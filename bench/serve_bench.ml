@@ -52,9 +52,9 @@ let run_phase ~(name : string) ~(validate : bool) ~(requests : int)
 
 (* Evolving-graph phase (DESIGN.md §3i): one tenant whose graph mutates
    between requests.  Each epoch applies an O(Δ) edge-delta batch to the
-   live hyb, refreshes the pipeline's fact snapshots, and serves the
-   re-derived instance; the first epoch is validated bit-for-bit against
-   a cold rebuild.  Its req/s rides along in BENCH_serve.json as an
+   live hyb and serves the re-derived instance; the first epoch is
+   validated bit-for-bit against a cold rebuild.  Its req/s rides along in
+   BENCH_serve.json as an
    informational row — new rows are reported by the trend tool but never
    gated, so the phase can't trip the gate on a baseline that predates
    it. *)

@@ -19,9 +19,10 @@
    - F16 buffers round every store through half precision;
    - binary search and MMA call the same [Tir.Prims] the interpreter uses.
 
-   Compiled artifacts are memoized per func (physical identity): the pipeline
-   registers its output here as a terminal codegen stage, so re-executing a
-   cached kernel compiles nothing. *)
+   Compiled artifacts are memoized per func (physical identity), and this
+   memo is their only store: the pipeline compiles its output here as a
+   terminal codegen stage, so re-executing a cached kernel compiles
+   nothing. *)
 
 open Tir
 open Tir.Ir
@@ -552,7 +553,9 @@ let run_stealing ~(units : int) ~(grain_u : int) ~(d : int)
 (* Fallback reasons                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let reason_labels = [| "indirect"; "bsearch"; "non-linear"; "no-witness" |]
+let reason_labels =
+  Array.map Analysis.reason_label
+    Analysis.[| Fr_indirect; Fr_bsearch; Fr_non_linear; Fr_no_witness |]
 
 let reason_index = function
   | Analysis.Fr_indirect -> 0
@@ -1682,7 +1685,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
 
 type compiled = {
   c_name : string;
-  c_slots : int * int * int; (* int / float / bool slot counts *)
   c_run : Tensor.t list -> unit;
   c_par_runs : int ref; (* executions that took the domains-parallel path *)
   c_fallback_runs : int ref; (* serial fallbacks on unprovable disjointness *)
@@ -1695,7 +1697,6 @@ type compiled = {
 }
 
 let name (c : compiled) = c.c_name
-let slot_counts (c : compiled) = c.c_slots
 let par_runs (c : compiled) = !(c.c_par_runs)
 let fallback_runs (c : compiled) = !(c.c_fallback_runs)
 let tiled_runs (c : compiled) = !(c.c_tiled_runs)
@@ -1727,17 +1728,6 @@ let hoisted_sites (c : compiled) = c.c_hoisted_sites
 let linear_sites (c : compiled) = c.c_linear_sites
 
 let compile_count = ref 0
-
-(* Every compile registers its per-artifact run counters here so [reset]
-   can zero them even when the artifact outlives the memo — the pipeline
-   compile cache re-[register]s cached artifacts after a reset, and stale
-   par/fallback tallies from a prior tenant must not leak into the next
-   one's serve stats.  The registry grows by a few words per codegen run
-   for the process lifetime, which is noise next to the artifacts
-   themselves. *)
-let counter_registry :
-    (int ref * int ref * int ref * int array) list ref =
-  ref []
 
 (* Process-wide fusion-site totals across every [compile] since [reset]
    (Pipeline.report surfaces them next to the pass table). *)
@@ -1811,12 +1801,8 @@ let compile (fn : func) : compiled =
   total_fused := !total_fused + ctx.n_fused;
   total_hoisted := !total_hoisted + ctx.n_hoisted;
   total_linear := !total_linear + ctx.n_linear;
-  counter_registry :=
-    (ctx.par_runs, ctx.fallback_runs, ctx.tiled_runs, ctx.reasons)
-    :: !counter_registry;
   {
     c_name = fname;
-    c_slots = (ni, nf, nb);
     c_run = run;
     c_par_runs = ctx.par_runs;
     c_fallback_runs = ctx.fallback_runs;
@@ -1865,13 +1851,6 @@ let artifact (fn : func) : compiled =
       Memo.add memo fn c;
       c
 
-(* Seed the memo with an artifact compiled earlier (the pipeline compile
-   cache stores artifacts alongside lowered IR and re-installs them on a
-   hit, so even an [Engine.reset] does not force recompilation of cached
-   kernels). *)
-let register (fn : func) (c : compiled) : unit =
-  if not (Memo.mem memo fn) then Memo.add memo fn c
-
 (* Drop a memoized artifact (compile-cache eviction calls this so the memo
    cannot outgrow the cache that feeds it). *)
 let unregister (fn : func) : unit = Memo.remove memo fn
@@ -1879,6 +1858,9 @@ let unregister (fn : func) : unit = Memo.remove memo fn
 let compiles () = !compile_count
 let memo_size () = Memo.length memo
 
+(* Drop every memoized artifact and zero the process-wide totals.  A func
+   the compile cache still holds compiles again on its next execution, so
+   its fresh artifact's own counters start from zero too. *)
 let reset () =
   Memo.reset memo;
   compile_count := 0;
@@ -1890,16 +1872,7 @@ let reset () =
   Atomic.set total_tiled_runs 0;
   Atomic.set total_stolen_chunks 0;
   Atomic.set total_replica_builds 0;
-  Array.iter (fun a -> Atomic.set a 0) total_reasons;
-  (* per-artifact counters survive the memo (the pipeline cache re-registers
-     its artifacts after a reset), so zero them through the registry *)
-  List.iter
-    (fun (p, f, t, rs) ->
-      p := 0;
-      f := 0;
-      t := 0;
-      Array.fill rs 0 (Array.length rs) 0)
-    !counter_registry
+  Array.iter (fun a -> Atomic.set a 0) total_reasons
 
 let with_num_domains (d : int option) (f : unit -> 'a) : 'a =
   match d with

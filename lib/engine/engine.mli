@@ -30,9 +30,6 @@ val run : compiled -> Tir.Tensor.t list -> unit
 
 val name : compiled -> string
 
-val slot_counts : compiled -> int * int * int
-(** (int, float, bool) slot-array sizes — one slot per binding site. *)
-
 val par_runs : compiled -> int
 (** Executions of this artifact's thread-bound outer loops that took the
     domains-parallel path (disjointness proven, a region wider than one
@@ -260,15 +257,13 @@ val default_kind : kind ref
 val artifact : Tir.Ir.func -> compiled
 (** Memoized {!compile}: keyed on the func's physical identity, so the
     pipeline compile cache returning the same func value means a warm build
-    or tuner search compiles nothing. *)
-
-val register : Tir.Ir.func -> compiled -> unit
-(** Seed the memo with an artifact compiled earlier (no-op if the func is
-    already present).  Used by the pipeline compile cache on a hit. *)
+    or tuner search compiles nothing.  This memo is the only store of
+    artifacts; the compile cache holds lowered funcs only. *)
 
 val unregister : Tir.Ir.func -> unit
 (** Drop the memoized artifact for a func, if any.  The pipeline compile
-    cache calls this when it evicts an entry, keeping the memo bounded. *)
+    cache calls this when it evicts or clears an entry, keeping the memo
+    bounded. *)
 
 val execute :
   ?kind:kind -> ?num_domains:int -> Tir.Ir.func -> Tir.Tensor.t list -> unit
@@ -283,7 +278,7 @@ val compiles : unit -> int
 val memo_size : unit -> int
 
 val reset : unit -> unit
-(** Drop memoized artifacts and zero every counter: the compile counter,
-    the process-wide run/fusion totals, and the per-artifact run counters of
-    every artifact ever compiled — including artifacts the pipeline cache
-    later re-{!register}s, so a fresh serving window starts from zero. *)
+(** Drop every memoized artifact and zero the compile counter and the
+    process-wide run/fusion totals.  A func the pipeline cache still holds
+    compiles again on its next execution, into a fresh artifact whose own
+    counters start from zero, so a fresh serving window counts from zero. *)

@@ -73,8 +73,6 @@ val apply_delta : live -> Delta.edit list -> delta_info
 val force_rebucket : live -> unit
 (** Escape hatch: shed all hysteresis retention by re-bucketing cold. *)
 
-val set_slack : live -> int -> unit
-
 val live_hyb : live -> t
 (** Immutable view sharing the live arrays; structurally equal to a cold
     [of_csr] of the patched matrix when [slack = 0]. *)

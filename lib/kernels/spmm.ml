@@ -88,7 +88,7 @@ let taco (a : Csr.t) (x : Dense.t) ~(feat : int) : compiled =
   let tx = min 32 feat in
   let bindings, out = base_bindings a x ~feat in
   let fn =
-    Pipeline.compile ~bind:bindings ~name:"taco_spmm" ~trace:(Printf.sprintf "taco(tx=%d)" tx)
+    Pipeline.compile ~name:"taco_spmm" ~trace:(Printf.sprintf "taco(tx=%d)" tx)
       (fun fn ->
         let sched = Schedule.create fn in
         map_feature sched ~tx ~vec:1;
@@ -108,7 +108,7 @@ let cusparse (a : Csr.t) (x : Dense.t) ~(feat : int) : compiled =
   let tx = min 32 feat in
   let bindings, out = base_bindings a x ~feat in
   let fn =
-    Pipeline.compile ~bind:bindings ~name:"cusparse_spmm"
+    Pipeline.compile ~name:"cusparse_spmm"
       ~trace:(Printf.sprintf "cusparse(tx=%d)" tx)
       (fun fn ->
         let sched = Schedule.create fn in
@@ -128,7 +128,7 @@ let dgsparse ?(row_group = 8) (a : Csr.t) (x : Dense.t) ~(feat : int) :
   let tx = min 32 feat in
   let bindings, out = base_bindings a x ~feat in
   let fn =
-    Pipeline.compile ~bind:bindings ~name:"dgsparse_spmm"
+    Pipeline.compile ~name:"dgsparse_spmm"
       ~trace:(Printf.sprintf "dgsparse(tx=%d,row_group=%d)" tx row_group)
       (fun fn ->
         let sched = Schedule.create fn in
@@ -151,7 +151,7 @@ let sputnik ?(row_group = 4) (a : Csr.t) (x : Dense.t) ~(feat : int) : compiled
   let vec = if feat mod 4 = 0 then 4 else 1 in
   let bindings, out = base_bindings a x ~feat in
   let fn =
-    Pipeline.compile ~bind:bindings ~name:"sputnik_spmm"
+    Pipeline.compile ~name:"sputnik_spmm"
       ~trace:(Printf.sprintf "sputnik(vec=%d,row_group=%d)" vec row_group)
       (fun fn ->
         let sched = Schedule.create fn in
@@ -178,7 +178,7 @@ let sparsetir_no_hyb ?(row_group = 8) ?(vec = 1) (a : Csr.t) (x : Dense.t)
   let tx = min 32 (feat / vec) in
   let bindings, out = base_bindings a x ~feat in
   let fn =
-    Pipeline.compile ~bind:bindings ~name:"sparsetir_no_hyb_spmm"
+    Pipeline.compile ~name:"sparsetir_no_hyb_spmm"
       ~trace:
         (Printf.sprintf "no_hyb(tx=%d,vec=%d,row_group=%d)" tx vec row_group)
       (fun fn ->
@@ -309,7 +309,7 @@ let hyb_compiled ~(c : int) ~(k : int) (h : Hyb.t)
   let bindings = List.filter (fun (n, _) -> n <> "A") bindings in
   let bindings = rebind bindings @ extra_binds in
   let fn =
-    Pipeline.compile ~coord:[ decompose ] ~bind:bindings ~name:"hyb_spmm"
+    Pipeline.compile ~coord:[ decompose ] ~name:"hyb_spmm"
       ~trace:(Printf.sprintf "hyb_sched(feat=%d,k=%d)" feat k)
       schedule (stage1 a ~feat)
   in

@@ -8,31 +8,25 @@
    needs when it rebuilds the same candidate.  Pass traces must encode every
    parameter a transform closes over; see [Pass.t].
 
-   Each entry carries the lowered IR plus (when the pipeline ran with the
-   compiled engine) its codegen artifact, so a cache hit serves both: a warm
-   tuner search neither re-lowers nor re-compiles.  The artifact stored here
-   is physically the one in [Engine]'s identity-keyed memo — the entry keeps
-   it alive and lets a hit re-seed that memo after [Engine.reset].
+   Each entry holds the lowered IR only.  Its codegen artifact lives in
+   [Engine]'s identity-keyed memo, the one store of artifacts: a warm hit
+   returns the same func value, so executing it finds the artifact there,
+   and after [Engine.reset] the first execution compiles it again.
 
    The cache is bounded: entries carry a last-use generation stamp and
    insertion beyond [capacity] evicts the least-recently-used entry,
-   unregistering its Engine artifact in the same step so the two stores
-   cannot drift apart — a long tuner search over a huge schedule space holds
-   at most [capacity] lowered funcs and artifacts.  Eviction is a linear
-   min-scan; capacities are small (hundreds) and insertions already paid a
-   full lowering, so simplicity beats an intrusive list. *)
+   unregistering its Engine artifact in the same step so the memo cannot
+   outgrow the cache — a long tuner search over a huge schedule space holds
+   at most [capacity] lowered funcs and artifacts.  [clear] unregisters
+   every entry's artifact the same way.  Eviction is a linear min-scan;
+   capacities are small (hundreds) and insertions already paid a full
+   lowering, so simplicity beats an intrusive list. *)
 
 open Tir
 
 type entry = {
   e_ir : Ir.func;
-  mutable e_artifact : Engine.compiled option;
   mutable e_last : int; (* generation of last find/add touch *)
-  mutable e_facts : (Tensor.t * int * Tensor.Facts.fact list) list;
-      (* declared tensor facts snapshotted at compile time: (tensor,
-         version-at-snapshot, facts).  A warm hit re-declares them (version
-         permitting) so re-bound kernels skip the O(n) dispatch-time rescan
-         even after the fact table was cleared. *)
 }
 
 type t = {
@@ -89,57 +83,13 @@ let evict_lru (t : t) : unit =
       Engine.unregister e.e_ir;
       t.evictions <- t.evictions + 1
 
-let add (t : t) (k : string) ?artifact (fn : Ir.func) : entry =
-  let e =
-    { e_ir = fn; e_artifact = artifact; e_last = tick t; e_facts = [] }
-  in
+let add (t : t) (k : string) (fn : Ir.func) : entry =
+  let e = { e_ir = fn; e_last = tick t } in
   Hashtbl.replace t.table k e;
   while Hashtbl.length t.table > t.capacity do
     evict_lru t
   done;
   e
-
-(* Declared facts of the bound tensors, for [entry.e_facts]: only tensors
-   with at least one declaration are recorded (scanned facts are not
-   portable — they were never asserted by a constructor). *)
-let snapshot_facts (binds : (string * Tensor.t) list) :
-    (Tensor.t * int * Tensor.Facts.fact list) list =
-  List.filter_map
-    (fun ((_, t) : string * Tensor.t) ->
-      match Tensor.Facts.declared t with
-      | [] -> None
-      | fs -> Some (t, t.Tensor.version, fs))
-    binds
-
-(* Re-declare an entry's snapshotted facts.  Sound only for tensors whose
-   version is unchanged since the snapshot — mutated tensors are skipped
-   (their facts may no longer hold and will re-establish by scan). *)
-let restore_facts (e : entry) : unit =
-  List.iter
-    (fun ((t : Tensor.t), ver, fs) ->
-      if t.Tensor.version = ver then Tensor.Facts.redeclare t fs)
-    e.e_facts
-
-(* Delta coherence: after an in-place patch bumped a tensor's version and
-   re-established its facts ([Facts.redeclare_span]), stale snapshots in
-   any cached entry would be skipped by [restore_facts] forever (version
-   mismatch), forcing dispatch-time rescans after the next fact-table
-   clear.  Refresh every entry's snapshot for the given tensors from
-   their current version and currently-declared facts.  The entries'
-   artifacts stay untouched — a delta never invalidates lowered IR, only
-   the fact snapshots. *)
-let refresh_facts (t : t) (tensors : Tensor.t list) : unit =
-  let ids = List.map (fun (x : Tensor.t) -> x.Tensor.id) tensors in
-  Hashtbl.iter
-    (fun _ e ->
-      e.e_facts <-
-        List.map
-          (fun (((x : Tensor.t), _, _) as snap) ->
-            if List.mem x.Tensor.id ids then
-              (x, x.Tensor.version, Tensor.Facts.declared x)
-            else snap)
-          e.e_facts)
-    t.table
 
 let capacity (t : t) = t.capacity
 
@@ -155,6 +105,7 @@ let evictions (t : t) = t.evictions
 let size (t : t) = Hashtbl.length t.table
 
 let clear (t : t) =
+  Hashtbl.iter (fun _ e -> Engine.unregister e.e_ir) t.table;
   Hashtbl.reset t.table;
   t.clock <- 0;
   t.hits <- 0;

@@ -10,9 +10,9 @@
 
    When the pipeline ends at Stage III and the selected engine is
    [Engine.Compiled] (the default), a terminal codegen stage translates the
-   flat func to native closures; the artifact is memoized in the compile
-   cache alongside the lowered IR, so warm builds neither re-lower nor
-   re-compile. *)
+   flat func to native closures; the artifact is memoized in the engine's
+   identity-keyed memo, keyed on the lowered func the compile cache returns,
+   so warm builds neither re-lower nor re-compile. *)
 
 module Pass = Pass
 module Verify = Verify
@@ -67,18 +67,15 @@ let cache_hits () = Cache.hits shared_cache
 let cache_misses () = Cache.misses shared_cache
 let cache_evictions () = Cache.evictions shared_cache
 
-(* Bound on the shared compile cache (entries; the paired Engine artifacts
-   are unregistered in the same step on eviction). *)
+(* Bound on the shared compile cache (entries; an evicted entry's Engine
+   artifact is unregistered in the same step). *)
 let set_cache_capacity (c : int) = Cache.set_capacity shared_cache c
 let cache_capacity () = Cache.capacity shared_cache
 
-(* Delta coherence (DESIGN.md §3i): after an in-place patch bumped a
-   tensor's version and re-established its facts, refresh every cached
-   entry's fact snapshot for those tensors so warm hits keep restoring
-   them.  Artifacts are untouched — a delta never invalidates lowered
-   IR. *)
-let refresh_fact_snapshots (tensors : Tir.Tensor.t list) : unit =
-  Cache.refresh_facts shared_cache tensors
+(* No-op, kept for existing callers: facts live on the tensors themselves
+   (Tir.Tensor.Facts), so a delta's re-established facts are seen by every
+   cached kernel without a refresh. *)
+let refresh_fact_snapshots (_ : Tir.Tensor.t list) : unit = ()
 let all_stats () = List.rev !history
 let last_stats () = match !history with [] -> None | s :: _ -> Some s
 
@@ -94,9 +91,8 @@ let trace_of (passes : Pass.t list) : string =
   String.concat ";" (List.map (fun (p : Pass.t) -> p.Pass.p_trace) passes)
 
 let run ?(verify = true) ?(use_cache = true) ?(dump_ir = false)
-    ?(start : stage = Coord) ?engine
-    ?(bind : (string * Tensor.t) list = []) (passes : Pass.t list)
-    (fn : Ir.func) : Ir.func =
+    ?(start : stage = Coord) ?engine (passes : Pass.t list) (fn : Ir.func) :
+    Ir.func =
   let t0 = Unix.gettimeofday () in
   let engine =
     match engine with Some k -> k | None -> !Engine.default_kind
@@ -163,48 +159,20 @@ let run ?(verify = true) ?(use_cache = true) ?(dump_ir = false)
       ps_after = sz;
     }
   in
+  let build () =
+    let f, ps = compile () in
+    (f, false, if codegen then ps @ [ codegen_stat f ] else ps)
+  in
   let out, cached, pass_stats =
-    if use_cache then begin
+    if not use_cache then build ()
+    else
       let k = Cache.key fn ~trace:(trace_of passes) in
       match Cache.find shared_cache k with
-      | Some e ->
-          if codegen then (
-            match e.Cache.e_artifact with
-            | Some c ->
-                (* hit after an Engine.reset: re-seed the memo, recompile
-                   nothing *)
-                Engine.register e.Cache.e_ir c
-            | None ->
-                (* entry produced by an Interp run; compile once, keep it *)
-                e.Cache.e_artifact <- Some (Engine.artifact e.Cache.e_ir));
-          (* warm path: re-declare the facts snapshotted at compile time
-             (so dispatch skips the O(n) rescan even after a fact-table
-             clear), then refresh the snapshot from this hit's bindings —
-             the restored declarations are visible to the new snapshot, so
-             a same-tensor rebind keeps them *)
-          Cache.restore_facts e;
-          if bind <> [] then begin
-            match Cache.snapshot_facts bind with
-            | [] -> ()
-            | fs -> e.Cache.e_facts <- fs
-          end;
-          (e.Cache.e_ir, true, [])
+      | Some e -> (e.Cache.e_ir, true, [])
       | None ->
-          let f, ps = compile () in
-          let ps, artifact =
-            if codegen then
-              let st = codegen_stat f in
-              (ps @ [ st ], Some (Engine.artifact f))
-            else (ps, None)
-          in
-          let e = Cache.add shared_cache k ?artifact f in
-          if bind <> [] then e.Cache.e_facts <- Cache.snapshot_facts bind;
-          (f, false, ps)
-    end
-    else
-      let f, ps = compile () in
-      let ps = if codegen then ps @ [ codegen_stat f ] else ps in
-      (f, false, ps)
+          let ((f, _, _) as r) = build () in
+          ignore (Cache.add shared_cache k f);
+          r
   in
   history :=
     {
@@ -221,18 +189,16 @@ let run ?(verify = true) ?(use_cache = true) ?(dump_ir = false)
 (* ------------------------------------------------------------------ *)
 
 (* Both lowering passes: Stage I -> Stage III, verified at each boundary. *)
-let lower ?verify ?use_cache ?dump_ir ?engine ?bind fn =
-  run ?verify ?use_cache ?dump_ir ?engine ?bind
+let lower ?verify ?use_cache ?dump_ir ?engine fn =
+  run ?verify ?use_cache ?dump_ir ?engine
     [ Pass.lower_iterations; Pass.lower_buffers ] fn
 
 (* The standard kernel pipeline: optional Stage I rewrites, the two
    lowering passes, then a flat-stage schedule.  [trace] must encode every
-   parameter [sched] closes over.  [bind] (the tensors the caller will run
-   the kernel against) lets the cache snapshot their declared facts; see
-   [Cache.snapshot_facts]. *)
-let compile ?verify ?use_cache ?dump_ir ?engine ?bind ?(coord = []) ~name
-    ~trace (sched : Ir.func -> Ir.func) (fn : Ir.func) : Ir.func =
-  run ?verify ?use_cache ?dump_ir ?engine ?bind
+   parameter [sched] closes over. *)
+let compile ?verify ?use_cache ?dump_ir ?engine ?(coord = []) ~name ~trace
+    (sched : Ir.func -> Ir.func) (fn : Ir.func) : Ir.func =
+  run ?verify ?use_cache ?dump_ir ?engine
     (coord
     @ [ Pass.lower_iterations; Pass.lower_buffers;
         Pass.schedule ~name ~trace sched ])

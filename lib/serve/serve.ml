@@ -330,10 +330,11 @@ let submit_spmm_tuned ?(spec = Gpusim.Spec.v100) ?rho ?topk (t : t)
 
 (* One (artifact, argument list) per step of the batch, which is counted in
    the server's stats here.  Batched funcs are cached in the shared pipeline
-   cache under a tenant-scoped key so the LRU owns their engine artifacts;
-   the [compiled] value is held directly in the plan, so a later eviction
-   (which only unregisters the memo entry) cannot invalidate an
-   already-formed plan. *)
+   cache under a tenant-scoped key, so the LRU bounds their engine
+   artifacts (the engine memo holds them; after [Engine.reset] a hit
+   compiles once more).  The [compiled] value is held directly in the plan,
+   so a later eviction (which only unregisters the memo entry) cannot
+   invalidate an already-formed plan. *)
 let plan_of (t : t) (reqs : request list) :
     (Engine.compiled * Tensor.t list) list =
   let b = List.length reqs in
@@ -349,22 +350,14 @@ let plan_of (t : t) (reqs : request list) :
       in
       let c =
         match Pipeline.Cache.find Pipeline.shared_cache key with
-        | Some e -> (
+        | Some e ->
             t.warm_hits <- t.warm_hits + 1;
-            match e.Pipeline.Cache.e_artifact with
-            | Some c ->
-                (* re-seed the engine memo in case [Engine.reset] dropped it *)
-                Engine.register e.Pipeline.Cache.e_ir c;
-                c
-            | None ->
-                let c = Engine.artifact e.Pipeline.Cache.e_ir in
-                e.Pipeline.Cache.e_artifact <- Some c;
-                c)
+            Engine.artifact e.Pipeline.Cache.e_ir
         | None ->
             t.cold_misses <- t.cold_misses + 1;
             let bfn = batch_func ~copies:b tmpl in
             let c = Engine.artifact bfn in
-            ignore (Pipeline.Cache.add Pipeline.shared_cache key ~artifact:c bfn);
+            ignore (Pipeline.Cache.add Pipeline.shared_cache key bfn);
             c
       in
       let args =

@@ -130,8 +130,9 @@ let identical (a : Tir.Tensor.t) (b : Tir.Tensor.t) : bool =
 
 (* A tenant whose graph mutates between requests: each epoch applies one
    seeded edge-delta batch to a live hyb ([Hyb.apply_delta] — O(Δ) patches
-   plus targeted bucket rebuilds), refreshes the pipeline cache's fact
-   snapshots, and re-derives the serving instance.  Unchanged bucket
+   plus targeted bucket rebuilds, with the patched tensors' facts
+   re-established on the tensors themselves) and re-derives the serving
+   instance.  Unchanged bucket
    shapes hit the compile cache, so the steady-state cost is the patch,
    not a recompile.  [ev_reference] rebuilds the same epoch cold (pure
    [Csr.apply_delta] chain + cold kernels) for bit-identity validation. *)
@@ -171,8 +172,6 @@ let evolving ?(seed = 17) ?(nodes = 160) ?(edges = 1300) ?(edits = 24)
         in
         let info = Hyb.apply_delta lv batch in
         cold := Csr.apply_delta !cold batch;
-        let iptr, idx, v = Csr.live_tensors (Hyb.live_source lv) in
-        Pipeline.refresh_fact_snapshots [ iptr; idx; v ];
         (instance_of (Kernels.Spmm.sparsetir_hyb_live lv x ~feat), info));
     ev_reference =
       (fun () ->

@@ -842,17 +842,6 @@ let loop_disjointness (x : var) (body : stmt) : verdict =
     Par !out
   with Not_disjoint r -> Serial r
 
-(* Boolean view, preserved for callers that only need the unconditional
-   answer: gather witnesses depend on runtime tensor facts, so only
-   all-direct verdicts count as true here. *)
-let loop_writes_disjoint (x : var) (body : stmt) : bool =
-  match loop_disjointness x body with
-  | Par ws ->
-      List.for_all
-        (fun (_, w) -> match w with W_direct _ -> true | W_gather _ -> false)
-        ws
-  | Serial _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Iteration-cost skew                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -133,11 +133,6 @@ val loop_disjointness : Ir.var -> Ir.stmt -> verdict
     failure's reason and is always safe (the executor falls back to serial
     execution). *)
 
-val loop_writes_disjoint : Ir.var -> Ir.stmt -> bool
-(** Boolean view of {!loop_disjointness}: true only for [Par] verdicts whose
-    witnesses are all [W_direct] (gather witnesses additionally depend on
-    runtime tensor facts). *)
-
 val loop_skew_hint : Ir.var -> Ir.stmt -> bool
 (** [loop_skew_hint x body] is true when [body] contains an inner loop whose
     extent is data-dependent on the iteration over [x] — the extent loads a

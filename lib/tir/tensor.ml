@@ -6,18 +6,34 @@ type data =
   | I of int array
   | B of bool array
 
+(* Structural facts about an index tensor; see [Facts]. *)
+type fact =
+  | Injective (* all elements pairwise distinct *)
+  | Monotone_nd (* non-decreasing *)
+  | Monotone_inc (* strictly increasing: implies both facts above *)
+
+(* The facts known for one tensor version.  Immutable: [Facts] publishes a
+   new record by compare-and-set instead of editing this one. *)
+type fact_state = {
+  fs_ver : int; (* tensor version the state is valid for *)
+  fs_declared : fact list;
+  fs_scanned : (fact * bool) list;
+}
+
 type t = {
   dtype : Dtype.t;
   shape : int array;
   data : data;
-  id : int; (* process-unique identity; copies get fresh ids *)
   mutable version : int; (* bumped by every mutating operation *)
+  facts : fact_state Atomic.t; (* this tensor's own cell, never shared *)
 }
 
-(* Atomic: tensors are also created by Alloc statements running inside
-   domains-parallel loop bodies. *)
-let next_id = Atomic.make 0
-let fresh_id () = Atomic.fetch_and_add next_id 1
+let no_facts = { fs_ver = 0; fs_declared = []; fs_scanned = [] }
+
+(* Every tensor, copies included, is built here so each gets a fresh fact
+   cell. *)
+let make dtype shape data =
+  { dtype; shape; data; version = 0; facts = Atomic.make no_facts }
 
 let numel (t : t) = Array.fold_left ( * ) 1 t.shape
 
@@ -29,22 +45,16 @@ let create (dtype : Dtype.t) (shape : int list) : t =
     else if dtype = Dtype.Bool then B (Array.make n false)
     else I (Array.make n 0)
   in
-  { dtype; shape; data; id = fresh_id (); version = 0 }
+  make dtype shape data
 
 let of_float_array ?(dtype = Dtype.F32) (shape : int list) (a : float array) : t
     =
-  let t =
-    { dtype; shape = Array.of_list shape; data = F a; id = fresh_id ();
-      version = 0 }
-  in
+  let t = make dtype (Array.of_list shape) (F a) in
   if numel t <> Array.length a then invalid_arg "Tensor.of_float_array: shape";
   t
 
 let of_int_array ?(dtype = Dtype.I32) (shape : int list) (a : int array) : t =
-  let t =
-    { dtype; shape = Array.of_list shape; data = I a; id = fresh_id ();
-      version = 0 }
-  in
+  let t = make dtype (Array.of_list shape) (I a) in
   if numel t <> Array.length a then invalid_arg "Tensor.of_int_array: shape";
   t
 
@@ -142,106 +152,45 @@ let bytes (t : t) : int = numel t * Dtype.size_bytes t.dtype
    that is injective scatters to all-distinct rows; an indptr-style buffer
    that is monotone cuts safely at any strict increase.  Facts are either
    [declare]d by format constructors (trusted — e.g. a CSR indptr is
-   non-decreasing by construction) or established by an O(n) scan, memoized
-   per tensor identity and invalidated by the mutation [version] stamp that
-   every write bumps. *)
+   non-decreasing by construction) or established by an O(n) scan.  Both
+   live on the tensor itself, in its [facts] cell, and are valid only for
+   the mutation [version] they record, which every write bumps.  Nothing
+   else holds them, so nothing can evict them: a fact lasts exactly as long
+   as its tensor and its tensor's contents. *)
 module Facts = struct
-  type fact =
-    | Injective (* all elements pairwise distinct *)
-    | Monotone_nd (* non-decreasing *)
-    | Monotone_inc (* strictly increasing: implies both facts above *)
+  type nonrec fact = fact =
+    | Injective
+    | Monotone_nd
+    | Monotone_inc
 
-  type entry = {
-    mutable e_ver : int; (* tensor version the entry is valid for *)
-    mutable e_declared : fact list;
-    mutable e_scanned : (fact * bool) list;
-    mutable e_tick : int; (* recency stamp, for oldest-first eviction *)
-  }
+  let scans = Atomic.make 0
+  let span_checks = Atomic.make 0
+  let scan_count () = Atomic.get scans
+  let span_check_count () = Atomic.get span_checks
 
-  (* Keyed on tensor id.  Bounded: crossing [max_entries] evicts the
-     least-recently-touched entries, preferring scanned-only entries over
-     ones holding declared (trusted) facts — a fact a format constructor
-     asserted for a live tensor survives churn from short-lived scratch
-     tensors.  (Resetting the whole table here would silently turn
-     provably-parallel loops into serial fallbacks whenever an unrelated
-     allocation crossed the bound.)  The serving layer consults facts from
-     concurrent driver domains (each request resolves its gather witnesses
-     at dispatch time), so the table is guarded by a mutex; every public
-     entry point takes it once and the internal helpers assume it is
-     held. *)
-  let table : (int, entry) Hashtbl.t = Hashtbl.create 64
-  let lock = Mutex.create ()
-  let locked f = Mutex.protect lock f
-  let max_entries = 4096
-  let scans = ref 0
-  let span_checks = ref 0
-  let clock = ref 0
-  let evicted = ref 0
+  (* The state for the tensor's current version; an older one is stale. *)
+  let current (t : t) : fact_state =
+    let s = Atomic.get t.facts in
+    if s.fs_ver = t.version then s else { no_facts with fs_ver = t.version }
 
-  let scan_count () = locked (fun () -> !scans)
-  let span_check_count () = locked (fun () -> !span_checks)
-  let eviction_count () = locked (fun () -> !evicted)
-  let capacity () = max_entries
-  let size () = locked (fun () -> Hashtbl.length table)
-  let clear () = locked (fun () -> Hashtbl.reset table)
-
-  (* Shed the oldest quarter of the table.  Entries without declared facts
-     (pure scan memos — re-establishable by a rescan) go first, oldest
-     first; declared entries are evicted only if the target is still not
-     met.  Linear scan + sort: eviction is rare (once per [max_entries/4]
-     distinct new tensors) and already amortized against thousands of table
-     insertions. *)
-  let evict_oldest () =
-    let target = max_entries - (max_entries / 4) in
-    let entries = Hashtbl.fold (fun id e acc -> (id, e) :: acc) table [] in
-    let score (_, e) = ((if e.e_declared = [] then 0 else 1), e.e_tick) in
-    let sorted =
-      List.sort (fun a b -> compare (score a) (score b)) entries
-    in
-    let excess = List.length entries - target in
-    List.iteri
-      (fun i (id, _) ->
-        if i < excess then begin
-          Hashtbl.remove table id;
-          incr evicted
-        end)
-      sorted
-
-  let entry_for (t : t) : entry =
-    incr clock;
-    match Hashtbl.find_opt table t.id with
-    | Some e ->
-        if e.e_ver <> t.version then begin
-          (* the tensor mutated since this entry was built: every recorded
-             fact is stale *)
-          e.e_ver <- t.version;
-          e.e_declared <- [];
-          e.e_scanned <- []
-        end;
-        e.e_tick <- !clock;
-        e
-    | None ->
-        if Hashtbl.length table >= max_entries then evict_oldest ();
-        let e =
-          { e_ver = t.version; e_declared = []; e_scanned = [];
-            e_tick = !clock }
-        in
-        Hashtbl.add table t.id e;
-        e
+  (* Publish [f] of the state for version [ver].  Concurrent driver domains
+     may consult the same tensor, so the swap is a compare-and-set retried
+     on conflict; a state already recorded for a newer version wins. *)
+  let rec update (t : t) ~(ver : int) (f : fact_state -> fact_state) : unit =
+    let old = Atomic.get t.facts in
+    if old.fs_ver <= ver then begin
+      let cur =
+        if old.fs_ver = ver then old else { no_facts with fs_ver = ver }
+      in
+      if not (Atomic.compare_and_set t.facts old (f cur)) then update t ~ver f
+    end
 
   let declare (t : t) (f : fact) : unit =
-    locked (fun () ->
-        let e = entry_for t in
-        if not (List.mem f e.e_declared) then e.e_declared <- f :: e.e_declared)
+    update t ~ver:t.version (fun s ->
+        if List.mem f s.fs_declared then s
+        else { s with fs_declared = f :: s.fs_declared })
 
-  (* Facts declared (not scanned) for the tensor's current version.  The
-     pipeline cache snapshots these per compile so a warm hit can re-declare
-     them after a table reset/clear instead of re-scanning. *)
-  let declared (t : t) : fact list =
-    locked (fun () ->
-        match Hashtbl.find_opt table t.id with
-        | Some e when e.e_ver = t.version -> e.e_declared
-        | _ -> [])
+  let declared (t : t) : fact list = (current t).fs_declared
 
   (* [have] certifies [want]: strict monotonicity implies both weaker
      facts. *)
@@ -249,7 +198,7 @@ module Facts = struct
     have = want || (have = Monotone_inc && want <> Monotone_inc)
 
   let scan (t : t) (f : fact) : bool =
-    incr scans;
+    Atomic.incr scans;
     let n = numel t in
     match f with
     | Monotone_inc ->
@@ -264,30 +213,30 @@ module Facts = struct
           if get_i t i < get_i t (i - 1) then ok := false
         done;
         !ok
-    | Injective -> (
-        let seen = Hashtbl.create (2 * max n 1) in
-        try
-          for i = 0 to n - 1 do
-            let v = get_i t i in
-            if Hashtbl.mem seen v then raise Exit;
-            Hashtbl.add seen v ()
-          done;
-          true
-        with Exit -> false)
+    | Injective ->
+        let a = Array.init n (get_i t) in
+        Array.sort Int.compare a;
+        let ok = ref true in
+        for i = 1 to n - 1 do
+          if a.(i) = a.(i - 1) then ok := false
+        done;
+        !ok
 
   let holds (t : t) (f : fact) : bool =
     (match t.data with I _ -> true | _ -> false)
-    && locked (fun () ->
-           let e = entry_for t in
-           List.exists (fun d -> implies d f) e.e_declared
-           || List.exists (fun (s, ok) -> ok && implies s f) e.e_scanned
-           ||
-           match List.assoc_opt f e.e_scanned with
-           | Some ok -> ok
-           | None ->
-               let ok = scan t f in
-               e.e_scanned <- (f, ok) :: e.e_scanned;
-               ok)
+    &&
+    let s = current t in
+    List.exists (fun d -> implies d f) s.fs_declared
+    || List.exists (fun (g, ok) -> ok && implies g f) s.fs_scanned
+    ||
+    match List.assoc_opt f s.fs_scanned with
+    | Some ok -> ok
+    | None ->
+        let ok = scan t f in
+        update t ~ver:s.fs_ver (fun s ->
+            if List.mem_assoc f s.fs_scanned then s
+            else { s with fs_scanned = (f, ok) :: s.fs_scanned });
+        ok
 
   (* One construction-time pass declaring the strongest ordering fact the
      data supports.  Format constructors that materialize an index array
@@ -307,8 +256,6 @@ module Facts = struct
         if !strict then declare t Monotone_inc
         else if !nondec then declare t Monotone_nd
     | F _ | B _ -> ()
-
-  let redeclare (t : t) (fs : fact list) : unit = List.iter (declare t) fs
 
   (* Re-establish [fs] for [t]'s current version after an in-place patch
      confined to flat positions [lo, hi): each ordering fact is verified on
@@ -330,7 +277,7 @@ module Facts = struct
         (* adjacent pairs (i-1, i) with either index inside [lo, hi) *)
         let first = max 1 lo and last = min (n - 1) hi in
         let pair_ok strict =
-          locked (fun () -> incr span_checks);
+          Atomic.incr span_checks;
           let ok = ref true in
           for i = first to last do
             if (if strict then a.(i) <= a.(i - 1) else a.(i) < a.(i - 1))
@@ -352,25 +299,13 @@ module Facts = struct
     | F _ | B _ -> []
 end
 
-let copy ?(keep_facts = false) (t : t) : t =
+let copy (t : t) : t =
   let data =
     match t.data with
     | F a -> F (Array.copy a)
     | I a -> I (Array.copy a)
     | B a -> B (Array.copy a)
   in
-  (* fresh identity: the copy's storage diverges from the original's, so it
-     must not share the original's fact-memo key *)
-  let c =
-    { t with shape = Array.copy t.shape; data; id = fresh_id (); version = 0 }
-  in
-  (* [keep_facts] carries the original's *declared* facts to the fresh id:
-     the copy holds bit-identical contents, so every construction-time
-     assertion still holds and the copy skips the O(n) dispatch-time rescan
-     a bare copy of a declared-monotone indptr would pay.  Scanned facts
-     are not carried — they were never asserted by a constructor. *)
-  (if keep_facts then
-     match Facts.declared t with
-     | [] -> ()
-     | fs -> List.iter (Facts.declare c) fs);
-  c
+  (* [make], not [{ t with ... }]: the copy's storage diverges from the
+     original's, so it must not share the original's fact cell *)
+  make t.dtype (Array.copy t.shape) data

@@ -7,14 +7,20 @@ type data =
   | I of int array
   | B of bool array
 
+type fact_state
+(** The facts known for one version of one tensor; read through {!Facts}. *)
+
 type t = {
   dtype : Dtype.t;
   shape : int array;
   data : data;
-  id : int;  (** process-unique identity; {!copy} allocates a fresh one *)
   mutable version : int;
       (** mutation stamp, bumped by every write ({!set_f}, {!set_i},
-          {!fill_f}, {!blit}); {!Facts} memoizes scans against it *)
+          {!fill_f}, {!blit}, {!touch}); {!Facts} recorded for an older
+          version are stale *)
+  facts : fact_state Atomic.t;
+      (** this tensor's facts; every constructor, {!copy} included, makes
+          a fresh cell *)
 }
 
 val numel : t -> int
@@ -38,12 +44,10 @@ val fill_f : t -> float -> unit
 val to_float_array : t -> float array
 val to_int_array : t -> int array
 
-val copy : ?keep_facts:bool -> t -> t
-(** Deep copy with a fresh identity (version 0).  [keep_facts] (default
-    off) re-declares the original's declared facts on the copy — sound
-    because the copy's contents are bit-identical at creation; scanned
-    facts are not carried.  The delta path uses it when freezing a live
-    matrix into an immutable snapshot. *)
+val copy : t -> t
+(** Deep copy (version 0) with a fresh fact cell: facts declared on the
+    copy or the original afterwards, and mutations of either, leave the
+    other's facts unchanged. *)
 
 val touch : t -> unit
 (** Bump the mutation version once.  The delta path patches the underlying
@@ -66,8 +70,10 @@ val bytes : t -> int
 (** Structural facts about index tensors, consumed by the write-disjointness
     analysis: a fact is either [declare]d by a format constructor (trusted —
     e.g. a CSR indptr is non-decreasing by construction) or established by a
-    cheap O(n) scan, memoized per tensor identity and invalidated when the
-    mutation {!field-version} stamp moves. *)
+    cheap O(n) scan.  Both are stored on the tensor itself ({!field-facts}),
+    valid for the {!field-version} they were recorded at, and updated by
+    compare-and-set, so concurrent domains need no lock and no fact is ever
+    evicted while its tensor lives unmutated. *)
 module Facts : sig
   type fact =
     | Injective  (** all elements pairwise distinct *)
@@ -81,15 +87,7 @@ module Facts : sig
 
   val declared : t -> fact list
   (** The facts declared (not scanned) for the tensor's current version;
-      empty when the tensor mutated since they were declared.  The pipeline
-      cache snapshots these so a warm hit can restore them with {!redeclare}
-      after the fact table was cleared, instead of paying a dispatch-time
-      rescan. *)
-
-  val redeclare : t -> fact list -> unit
-  (** Re-assert a snapshot taken by {!declared}.  Only sound when the
-      tensor's version is unchanged since the snapshot — the pipeline cache
-      records the version alongside and checks it before restoring. *)
+      empty when the tensor mutated since they were declared. *)
 
   val redeclare_span : t -> fact list -> lo:int -> hi:int -> fact list
   (** Re-establish facts for the tensor's *current* version after an
@@ -105,9 +103,10 @@ module Facts : sig
 
   val holds : t -> fact -> bool
   (** Is [fact] known (declared, or implied by a declared/scanned stronger
-      fact), or establishable by a scan?  Scans memoize their verdict —
-      positive or negative — until the tensor's next mutation.  Always false
-      for non-integer storage. *)
+      fact), or establishable by a scan?  Scans record their verdict —
+      positive or negative — until the tensor's next mutation.  Two domains
+      asking about the same unrecorded fact at once may both scan.  Always
+      false for non-integer storage. *)
 
   val declare_order : t -> unit
   (** One construction-time pass declaring the strongest ordering fact the
@@ -118,24 +117,10 @@ module Facts : sig
       maps). *)
 
   val scan_count : unit -> int
-  (** O(n) scans run so far (memo misses); tests use this to observe
-      invalidation. *)
+  (** O(n) scans run so far (checks no recorded fact answered); tests use
+      this to observe invalidation. *)
 
   val span_check_count : unit -> int
   (** O(span) re-verifications run by {!redeclare_span}; kept separate from
       {!scan_count} so the delta path's bounded work stays observable. *)
-
-  val eviction_count : unit -> int
-  (** Entries evicted at the table's size bound.  Eviction is
-      oldest-first and prefers scanned-only entries, so declared facts on
-      live tensors survive churn from short-lived scratch tensors. *)
-
-  val capacity : unit -> int
-  (** The table's entry bound ([max_entries]). *)
-
-  val size : unit -> int
-  (** Entries currently in the table. *)
-
-  val clear : unit -> unit
-  (** Drop every recorded fact (declared and scanned). *)
 end

@@ -158,10 +158,7 @@ let spmm_legs_once (seed : int) =
     (fun b ->
       model_apply model b;
       ignore (Csr.apply_delta_live clv b);
-      ignore (Hyb.apply_delta hlv b);
-      Pipeline.refresh_fact_snapshots
-        (let i, ix, v = Csr.live_tensors clv in
-         [ i; ix; v ]))
+      ignore (Hyb.apply_delta hlv b))
     batches;
   let cold = model_csr ~rows ~cols model in
   (* cold-rebuilt reference kernels on the patched matrix *)
@@ -265,39 +262,27 @@ let test_hysteresis () =
   Alcotest.(check bool) "force_rebucket = cold" true (Hyb.live_hyb lv2 = cold)
 
 (* ------------------------------------------------------------------ *)
-(* Facts table: eviction instead of wholesale reset                    *)
+(* Facts live on the tensor                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Overflowing the table with short-lived scratch entries must evict
-   oldest-first (preferring scanned-only entries) instead of dropping the
-   whole table: a long-lived declared row-map fact survives and its
-   gather loop still dispatches parallel with zero fallbacks and no
-   rescan. *)
-let test_facts_eviction_sweep () =
+(* Declaring facts on thousands of short-lived scratch tensors (what a
+   stream of rebuilt buckets produces) must not cost a long-lived tensor its
+   declared fact, even when nothing consults that fact meanwhile: the next
+   check needs no rescan, and its gather loop still dispatches parallel with
+   zero fallbacks. *)
+let test_facts_survive_scratch_churn () =
   let open Tir in
   let n = 128 in
   let perm = Array.init n (fun i -> n - 1 - i) in
   let rowmap = Tensor.of_int_array [ n ] perm in
   (* declared: injective by construction (a permutation) *)
   Tensor.Facts.declare rowmap Tensor.Facts.Injective;
-  (* churn well past capacity with short-lived declared entries (what a
-     stream of rebuilt buckets produces), consulting the long-lived fact
-     between bursts as a serving loop would — eviction is oldest-first by
-     recency, so the in-use declaration must survive while the scratch
-     entries are shed *)
-  let cap = Tensor.Facts.capacity () in
-  for i = 0 to cap + (cap / 2) do
+  for i = 0 to 4999 do
     let t = Tensor.of_int_array [ 2 ] [| i; i + 1 |] in
-    Tensor.Facts.declare t Tensor.Facts.Monotone_inc;
-    if i mod 256 = 0 then
-      ignore (Tensor.Facts.holds rowmap Tensor.Facts.Injective)
+    Tensor.Facts.declare t Tensor.Facts.Monotone_inc
   done;
-  Alcotest.(check bool) "evictions happened" true
-    (Tensor.Facts.eviction_count () > 0);
-  Alcotest.(check bool) "table stayed bounded" true
-    (Tensor.Facts.size () <= Tensor.Facts.capacity ());
   let scans0 = Tensor.Facts.scan_count () in
-  Alcotest.(check bool) "declared fact survived the sweep" true
+  Alcotest.(check bool) "declared fact survived the churn" true
     (Tensor.Facts.holds rowmap Tensor.Facts.Injective);
   Alcotest.(check int) "no rescan needed" 0
     (Tensor.Facts.scan_count () - scans0);
@@ -307,7 +292,7 @@ let test_facts_eviction_sweep () =
   let a_buf = buffer "A" [ int n ] in
   let c_buf = buffer "C" [ int n ] in
   let fn =
-    func "delta_evict_gather" [ m_buf; a_buf; c_buf ]
+    func "delta_churn_gather" [ m_buf; a_buf; c_buf ]
       (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
            store c_buf
              [ load m_buf [ i ] ]
@@ -318,24 +303,37 @@ let test_facts_eviction_sweep () =
   Engine.execute ~kind:Engine.Compiled ~num_domains:4 fn [ rowmap; a; c ];
   let art = Engine.artifact fn in
   Alcotest.(check bool) "gather ran parallel" true (Engine.par_runs art >= 1);
-  Alcotest.(check int) "no fallback after the sweep" 0
-    (Engine.fallback_runs art)
+  Alcotest.(check int) "no fallback after the churn" 0
+    (Engine.fallback_runs art);
+  Alcotest.(check int) "dispatch needed no rescan" 0
+    (Tensor.Facts.scan_count () - scans0)
 
 (* ------------------------------------------------------------------ *)
-(* Tensor.copy ?keep_facts and redeclare_span                          *)
+(* Tensor.copy and redeclare_span                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_copy_keep_facts () =
+(* A copy gets its own fact cell: declarations and mutations on either side
+   never reach the other. *)
+let test_copy_owns_facts () =
   let open Tir in
+  let declared t = Tensor.Facts.declared t in
   let t = Tensor.of_int_array [ 4 ] [| 1; 3; 5; 7 |] in
   Tensor.Facts.declare t Tensor.Facts.Monotone_inc;
-  let plain = Tensor.copy t in
-  Alcotest.(check (list bool)) "plain copy carries nothing" []
-    (List.map (fun _ -> true) (Tensor.Facts.declared plain));
-  let kept = Tensor.copy ~keep_facts:true t in
-  Alcotest.(check bool) "keep_facts carries the declaration" true
-    (Tensor.Facts.declared kept = [ Tensor.Facts.Monotone_inc ]);
-  Alcotest.(check bool) "fresh identity" true (kept.Tensor.id <> t.Tensor.id)
+  let c = Tensor.copy t in
+  Alcotest.(check bool) "copy starts with no facts" true (declared c = []);
+  Tensor.Facts.declare c Tensor.Facts.Injective;
+  Alcotest.(check bool) "declaring on the copy leaves the original" true
+    (declared t = [ Tensor.Facts.Monotone_inc ]);
+  Tensor.set_i c 0 9;
+  Alcotest.(check bool) "mutating the copy drops only its facts" true
+    (declared c = [] && declared t = [ Tensor.Facts.Monotone_inc ]);
+  Tensor.Facts.declare c Tensor.Facts.Monotone_nd;
+  Tensor.Facts.declare t Tensor.Facts.Injective;
+  Alcotest.(check bool) "declaring on the original leaves the copy" true
+    (declared c = [ Tensor.Facts.Monotone_nd ]);
+  Tensor.set_i t 0 0;
+  Alcotest.(check bool) "mutating the original drops only its facts" true
+    (declared t = [] && declared c = [ Tensor.Facts.Monotone_nd ])
 
 let test_redeclare_span () =
   let open Tir in
@@ -382,8 +380,8 @@ let () =
         [ Alcotest.test_case "slack retention and force_rebucket" `Quick
             test_hysteresis ] );
       ( "facts",
-        [ Alcotest.test_case "eviction sweep keeps declared facts" `Quick
-            test_facts_eviction_sweep;
-          Alcotest.test_case "copy ?keep_facts" `Quick test_copy_keep_facts;
+        [ Alcotest.test_case "declared facts survive scratch churn" `Quick
+            test_facts_survive_scratch_churn;
+          Alcotest.test_case "copy owns its facts" `Quick test_copy_owns_facts;
           Alcotest.test_case "redeclare_span" `Quick test_redeclare_span ] )
     ]

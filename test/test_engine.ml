@@ -348,23 +348,32 @@ let test_warm_tuner_no_codegen () =
   Alcotest.(check int) "warm search misses nothing" 0 r2.Tuner.cache_misses;
   Alcotest.(check string) "same winner" r1.Tuner.best_label r2.Tuner.best_label
 
-(* A pipeline cache hit after Engine.reset re-seeds the engine memo from the
-   cached artifact instead of recompiling. *)
-let test_cache_reseeds_memo () =
+(* Engine.reset drops the memo, the only store of artifacts: a pipeline
+   cache hit afterwards returns the cached func, which compiles once on its
+   next execution and gives bit-identical output. *)
+let test_cached_kernel_recompiles_after_reset () =
   Pipeline.reset ();
   Engine.reset ();
   let a = graph () in
   let feat = 16 in
   let x = Dense.random ~seed:2 a.Csr.cols feat in
-  ignore (Kernels.Spmm.dgsparse a x ~feat);
-  let cold = Engine.compiles () in
+  let exec (c : Kernels.Spmm.compiled) =
+    Gpusim.execute c.Kernels.Spmm.fn c.Kernels.Spmm.bindings;
+    Tir.Tensor.to_float_array c.Kernels.Spmm.out
+  in
+  let cold = Kernels.Spmm.dgsparse a x ~feat in
+  let expected = exec cold in
+  Alcotest.(check bool) "cold build did compile" true (Engine.compiles () > 0);
   Engine.reset ();
   let c = Kernels.Spmm.dgsparse a x ~feat in
-  Alcotest.(check int) "hit re-seeds, compiles nothing" 0 (Engine.compiles ());
-  (* and the re-seeded artifact actually executes *)
-  Gpusim.execute c.Kernels.Spmm.fn c.Kernels.Spmm.bindings;
-  Alcotest.(check int) "still nothing compiled" 0 (Engine.compiles ());
-  Alcotest.(check bool) "cold build did compile" true (cold > 0)
+  Alcotest.(check bool) "rebuild hits the cache" true
+    (c.Kernels.Spmm.fn == cold.Kernels.Spmm.fn);
+  Alcotest.(check int) "the hit compiles nothing" 0 (Engine.compiles ());
+  let got = exec c in
+  Alcotest.(check int) "first execution compiles once" 1 (Engine.compiles ());
+  Alcotest.(check bool) "bit-identical output" true (got = expected);
+  ignore (exec c);
+  Alcotest.(check int) "and only once" 1 (Engine.compiles ())
 
 (* ---------------- domains-parallel dispatch ---------------- *)
 
@@ -470,14 +479,13 @@ let test_fact_invalidation () =
   Alcotest.(check bool) "serial fallback resumed" true
     (Engine.fallback_runs art >= 1)
 
-(* Engine.reset zeroes the per-artifact counters of artifacts that survive
-   the reset by re-registration (a pipeline-cache warm hit re-seeds the memo
-   with the same compiled value), so a fresh measurement window counts from
-   zero instead of inheriting a prior session's runs. *)
-let test_reset_zeroes_reregistered_counters () =
+(* Engine.reset drops the artifact with the memo: the func's next execution
+   compiles a fresh artifact whose counters start from zero, and the
+   process-wide totals restart with it. *)
+let test_reset_restarts_counters () =
   let open Tir in
   let n = 64 in
-  let fn = gather_fn "eng_reset_rereg" n in
+  let fn = gather_fn "eng_reset_counters" n in
   let m = Tensor.of_int_array [ n ] (Array.init n Fun.id) in
   let a = Tensor.of_float_array [ n ] (Array.make n 1.0) in
   let c = Tensor.create Dtype.F32 [ n ] in
@@ -486,13 +494,16 @@ let test_reset_zeroes_reregistered_counters () =
   Alcotest.(check bool) "counter nonzero before reset" true
     (Engine.par_runs art >= 1);
   Engine.reset ();
-  Engine.register fn art;
-  Alcotest.(check int) "re-registered artifact counts from zero" 0
-    (Engine.par_runs art);
-  Alcotest.(check int) "fallback counter zeroed too" 0
-    (Engine.fallback_runs art);
+  let par, fb, _ = Engine.parallel_totals () in
+  Alcotest.(check (pair int int)) "totals zeroed" (0, 0) (par, fb);
   Engine.execute ~kind:Engine.Compiled ~num_domains:4 fn [ m; a; c ];
-  Alcotest.(check int) "counting resumes after reset" 1 (Engine.par_runs art)
+  let fresh = Engine.artifact fn in
+  Alcotest.(check bool) "execution after reset recompiled" true (fresh != art);
+  Alcotest.(check int) "fresh artifact counts from zero" 1
+    (Engine.par_runs fresh);
+  Alcotest.(check int) "no fallback" 0 (Engine.fallback_runs fresh);
+  let par, _, _ = Engine.parallel_totals () in
+  Alcotest.(check int) "totals count from zero" 1 par
 
 (* hyb bucket kernels: every blockIdx loop (direct witness on the ELL part,
    gather witnesses through the bucket row maps) must dispatch parallel at
@@ -690,8 +701,8 @@ let () =
       ( "codegen_cache",
         [ Alcotest.test_case "warm tuner compiles nothing" `Quick
             test_warm_tuner_no_codegen;
-          Alcotest.test_case "cache hit re-seeds engine memo" `Quick
-            test_cache_reseeds_memo ] );
+          Alcotest.test_case "recompiles once after reset" `Quick
+            test_cached_kernel_recompiles_after_reset ] );
       ( "parallel",
         [ Alcotest.test_case "chunk grain edge cases" `Quick test_chunk_grain;
           Alcotest.test_case "injective gather runs parallel" `Quick
@@ -700,8 +711,8 @@ let () =
             test_gather_unprovable_fallback;
           Alcotest.test_case "mutation invalidates facts" `Quick
             test_fact_invalidation;
-          Alcotest.test_case "reset zeroes re-registered counters" `Quick
-            test_reset_zeroes_reregistered_counters;
+          Alcotest.test_case "reset restarts artifact counters" `Quick
+            test_reset_restarts_counters;
           Alcotest.test_case "hyb buckets: parallel, no fallback" `Quick
             test_hyb_parallel_no_fallback;
           Alcotest.test_case "narrow output strips stitch exactly" `Quick
