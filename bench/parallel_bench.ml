@@ -16,6 +16,10 @@
    reason label is the first thing to look at when a schedule change
    de-parallelizes a kernel.
 
+   Every parallel leg, uniform-cost SDDMM edge loops and skewed hyb buckets
+   alike, runs on the engine's one work-stealing scheduler; the closing
+   "work stealing" line totals its steal transfers across all cases.
+
    Note: speedups depend on the machine's core count; on a single-core host
    the parallel leg measures pool overhead (expect <= 1x). *)
 

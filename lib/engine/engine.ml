@@ -332,6 +332,73 @@ let join_driver (dr : 'a driver) : 'a =
   | None -> assert false
 
 (* ------------------------------------------------------------------ *)
+(* Work-stealing scheduler                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The one scheduler behind every parallel region: [Par] loops and
+   [parallel_tasks] alike.  Each of the [d] workers owns a contiguous range
+   of work units, both ends packed into one atomic int (lo lsl shift | hi).
+   Owners CAS [grain_u]-sized chunks off the low end; a worker whose range
+   is empty scans the others and CAS-steals the upper half of the first
+   victim holding any unit, installing it as its own range (a plain store
+   is safe there: nobody CASes an empty deque).  Every handoff is
+   CAS-linearized, so each unit executes exactly once, on whichever worker
+   took it ([run_chunk w lo hi] runs units [lo, hi) on worker [w]).
+   Returns the number of steal transfers.  A range end holds at most
+   [steal_max_units]; callers with more work widen their unit. *)
+let steal_shift = 30
+let steal_mask = (1 lsl steal_shift) - 1
+let steal_max_units = steal_mask
+
+let run_stealing ~(units : int) ~(grain_u : int) ~(d : int)
+    ~(run_chunk : int -> int -> int -> unit)
+    ~(launch : (int -> unit) -> unit) : int =
+  let deques =
+    Array.init d (fun w ->
+        Atomic.make
+          (((w * units / d) lsl steal_shift) lor ((w + 1) * units / d)))
+  in
+  let stolen = Atomic.make 0 in
+  let body w =
+    let rec take () =
+      let q = deques.(w) in
+      let r = Atomic.get q in
+      let lo = r lsr steal_shift and hi = r land steal_mask in
+      if lo >= hi then steal 0
+      else
+        let lo' = min hi (lo + grain_u) in
+        if Atomic.compare_and_set q r ((lo' lsl steal_shift) lor hi) then begin
+          run_chunk w lo lo';
+          take ()
+        end
+        else take ()
+    and steal tries =
+      if tries >= d - 1 then ()
+      else
+        let v = (w + 1 + tries) mod d in
+        let q = deques.(v) in
+        let r = Atomic.get q in
+        let lo = r lsr steal_shift and hi = r land steal_mask in
+        (* the thief takes the upper half, rounded up, so a busy owner's
+           last waiting unit (one whole task under [parallel_tasks]) still
+           moves to an idle worker *)
+        if hi <= lo then steal (tries + 1)
+        else
+          let mid = (lo + hi) / 2 in
+          if Atomic.compare_and_set q r ((lo lsl steal_shift) lor mid)
+          then begin
+            Atomic.incr stolen;
+            Atomic.set deques.(w) ((mid lsl steal_shift) lor hi);
+            take ()
+          end
+          else steal tries
+    in
+    take ()
+  in
+  launch body;
+  Atomic.get stolen
+
+(* ------------------------------------------------------------------ *)
 (* Generic parallel tasks (format construction)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -351,11 +418,11 @@ let parallel_width () : int =
     | Some l -> l.l_width
     | None -> max 1 (Mutex.protect lease_lock free_units)
 
-(* Run [f 0] .. [f (k-1)] in one parallel region, spreading tasks over its
-   domains through an atomic cursor.  Tasks must be independent — the call
-   gives no ordering between them — and exceptions re-raise after the join.
-   Used by the format constructors ([Descriptor.build], [Hyb.of_csr]) for
-   partition-parallel construction. *)
+(* Run [f 0] .. [f (k-1)] in one parallel region, one task per steal unit.
+   Tasks must be independent — the call gives no ordering between them.  A
+   raising task does not stop the others: every task runs, and the first
+   exception re-raises after the join.  Used by the format constructors
+   ([Descriptor.build], [Hyb.of_csr]) for partition-parallel construction. *)
 let parallel_tasks (k : int) (f : int -> unit) : unit =
   let want = if !(Domain.DLS.get in_parallel_tasks) then 1 else k in
   with_region want (fun d launch ->
@@ -364,21 +431,21 @@ let parallel_tasks (k : int) (f : int -> unit) : unit =
           f i
         done
       else
-        let cursor = Atomic.make 0 in
-        launch (fun _ ->
-            let flag = Domain.DLS.get in_parallel_tasks in
-            flag := true;
-            Fun.protect
-              ~finally:(fun () -> flag := false)
-              (fun () ->
-                let rec pull () =
-                  let i = Atomic.fetch_and_add cursor 1 in
-                  if i < k then begin
-                    f i;
-                    pull ()
-                  end
-                in
-                pull ())))
+        let failed = Atomic.make None in
+        let run_chunk _ lo hi =
+          for i = lo to hi - 1 do
+            try f i
+            with e -> ignore (Atomic.compare_and_set failed None (Some e))
+          done
+        in
+        let launch body =
+          launch (fun w ->
+              let flag = Domain.DLS.get in_parallel_tasks in
+              flag := true;
+              Fun.protect ~finally:(fun () -> flag := false) (fun () -> body w))
+        in
+        ignore (run_stealing ~units:k ~grain_u:1 ~d ~run_chunk ~launch : int);
+        Option.iter raise (Atomic.get failed))
 
 (* ------------------------------------------------------------------ *)
 (* Chunking and output tiling                                           *)
@@ -390,7 +457,7 @@ let cache_line_bytes = 64
    to clone and stitch than the false sharing it avoids. *)
 let strip_numel_cap = 1 lsl 16
 
-(* Chunk grain for the atomic-cursor scheduler.  The old
+(* Chunk grain for the parallel scheduler.  The old
    [max 1 (n / (4 * d))] floor degenerated to single-iteration chunks
    whenever [n < 4 * d] (n atomic fetches for n iterations) and let the
    final fetch issue a 1-iteration straggler; the ceiling issues at most
@@ -482,72 +549,6 @@ let invalidate_par_cache (pc : par_cache) : unit =
    this stays flat across repeated executions of a warm artifact. *)
 let total_replica_builds = Atomic.make 0
 let replica_builds () = Atomic.get total_replica_builds
-
-(* Work-stealing chunk deques, for loops whose per-iteration cost is skewed
-   (variable-nnz rows, hyb buckets — see [Analysis.loop_skew_hint]).  Each
-   worker owns a contiguous range of work units, both ends packed into one
-   atomic int (lo lsl shift | hi).  Owners CAS grain-sized chunks off the
-   low end; a worker whose range is empty scans the others and CAS-steals
-   the upper half of the first victim holding more than one unit, installing
-   it as its own range (a plain store is safe there: nobody CASes an empty
-   deque).  Every handoff is CAS-linearized, so each unit executes exactly
-   once, and chunks are logged by whichever worker ran them — the stitching
-   path is oblivious to stealing, which keeps outputs bit-identical.
-   Returns the number of steal transfers (surfaced by the parallel bench).
-
-   Units are chunk-shaped, not iterations: align-multiples for direct loops,
-   [aligned_bounds] segments for monotone gathers — so every cut stealing
-   can make is one the cursor scheduler could have made. *)
-let steal_shift = 30
-let steal_mask = (1 lsl steal_shift) - 1
-let steal_max_units = steal_mask
-
-let run_stealing ~(units : int) ~(grain_u : int) ~(d : int)
-    ~(run_chunk : int -> int -> int -> unit)
-    ~(launch : (int -> unit) -> unit) : int =
-  let deques =
-    Array.init d (fun w ->
-        Atomic.make
-          (((w * units / d) lsl steal_shift) lor ((w + 1) * units / d)))
-  in
-  let stolen = Atomic.make 0 in
-  let body w =
-    let rec take () =
-      let q = deques.(w) in
-      let r = Atomic.get q in
-      let lo = r lsr steal_shift and hi = r land steal_mask in
-      if lo >= hi then steal 0
-      else
-        let lo' = min hi (lo + grain_u) in
-        if Atomic.compare_and_set q r ((lo' lsl steal_shift) lor hi) then begin
-          run_chunk w lo lo';
-          take ()
-        end
-        else take ()
-    and steal tries =
-      if tries >= d - 1 then ()
-      else
-        let v = (w + 1 + tries) mod d in
-        let q = deques.(v) in
-        let r = Atomic.get q in
-        let lo = r lsr steal_shift and hi = r land steal_mask in
-        (* a single remaining unit is left to its owner: stealing it would
-           only move the tail, not expose parallelism *)
-        if hi - lo <= 1 then steal (tries + 1)
-        else
-          let mid = (lo + hi + 1) / 2 in
-          if Atomic.compare_and_set q r ((lo lsl steal_shift) lor mid)
-          then begin
-            Atomic.incr stolen;
-            Atomic.set deques.(w) ((mid lsl steal_shift) lor hi);
-            take ()
-          end
-          else steal tries
-    in
-    take ()
-  in
-  launch body;
-  Atomic.get stolen
 
 (* ------------------------------------------------------------------ *)
 (* Fallback reasons                                                     *)
@@ -1073,15 +1074,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             Some (Analysis.loop_disjointness for_var body)
         | _ -> None
       in
-      (* Scheduler choice is also a compile-time property of the original
-         body: skewed per-iteration costs (data-dependent inner extents) or
-         gather witnesses (pseudo-row splits bucket unevenly) select the
-         work-stealing deques over the fixed-grain cursor. *)
-      let skew_hint =
-        match disjoint with
-        | Some (Analysis.Par _) -> Analysis.loop_skew_hint for_var body
-        | _ -> false
-      in
       (* Fusion peephole (DESIGN.md §3e): rewrite the body so per-iteration
          index arithmetic becomes slot reads.  Loop-invariant expressions
          are evaluated by a prologue once per loop entry (hoisting); indices
@@ -1208,7 +1200,7 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
       in
       (* chunk runner: re-seeds every running offset at the chunk start, so
          the same closure serves the serial loop (one chunk [0,n)) and the
-         atomic-cursor parallel chunks *)
+         parallel chunks *)
       let iterate fbody =
         match step with
         | None ->
@@ -1232,9 +1224,10 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
       | Some (Analysis.Par ws) ->
           (* iterations provably write disjoint buffer regions: spread them
              across domains, each running the same compiled body against
-             its own state replica.  Work is handed out in contiguous
-             chunks through an atomic cursor so uneven iteration costs
-             (e.g. power-law row lengths) balance dynamically.  The
+             its own state replica.  Each worker owns a contiguous range of
+             chunks and steals from the others when it runs dry
+             ([run_stealing]), so uneven iteration costs (e.g. power-law
+             row lengths) balance dynamically.  The
              decision to actually go parallel is made per run, from the
              current [num_domains].  The prologue runs on the root state
              BEFORE cloning, so hoisted slots propagate into every
@@ -1274,7 +1267,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           (* per-site persistent runtime: replicas, logs and strip copies
              survive across runs of this artifact (DESIGN.md §3d) *)
           let pcache = make_par_cache () in
-          let steal = skew_hint || gathers <> [] in
           fun st ->
             let n = ext st in
             run_prologue st;
@@ -1436,71 +1428,43 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                           strips
                       done
                     end;
-                    (match bounds with
-                    | Some b when steal ->
-                        (* monotone-gather segments as steal units: every
-                           cut stays on a segment boundary *)
-                        let segs = Array.length b - 1 in
-                        let run_chunk w k0 k1 =
-                          let lo = b.(k0) and hi = b.(k1) in
-                          if log_chunks && w > 0 then
-                            logs.(w) <- (lo, hi) :: logs.(w);
-                          iter states.(w) lo hi
-                        in
-                        let s =
-                          run_stealing ~units:segs ~grain_u:1 ~d ~run_chunk
+                    (* every chunk, stolen or not, is logged by the worker
+                       that ran it: stitching is oblivious to stealing *)
+                    let run_range w lo hi =
+                      if log_chunks && w > 0 then
+                        logs.(w) <- (lo, hi) :: logs.(w);
+                      iter states.(w) lo hi
+                    in
+                    let stolen =
+                      match bounds with
+                      | Some b ->
+                          (* monotone-gather segments as steal units: every
+                             cut stays on a segment boundary *)
+                          run_stealing ~units:(Array.length b - 1) ~grain_u:1
+                            ~d
+                            ~run_chunk:(fun w k0 k1 ->
+                              run_range w b.(k0) b.(k1))
                             ~launch
-                        in
-                        if s > 0 then
-                          ignore
-                            (Atomic.fetch_and_add total_stolen_chunks s : int)
-                    | None when steal && n <= steal_max_units * align ->
-                        (* align-multiples as steal units, so every cut
-                           keeps narrow outputs cache-line aligned *)
-                        let units = (n + align - 1) / align in
-                        let grain_u = max 1 (grain / align) in
-                        let run_chunk w u0 u1 =
-                          let lo = u0 * align and hi = min n (u1 * align) in
-                          if log_chunks && w > 0 then
-                            logs.(w) <- (lo, hi) :: logs.(w);
-                          iter states.(w) lo hi
-                        in
-                        let s =
-                          run_stealing ~units ~grain_u ~d ~run_chunk ~launch
-                        in
-                        if s > 0 then
-                          ignore
-                            (Atomic.fetch_and_add total_stolen_chunks s : int)
-                    | bounds ->
-                        (* uniform-cost loops keep the cheaper cursor *)
-                        let next =
-                          match bounds with
-                          | None ->
-                              let cursor = Atomic.make 0 in
-                              fun () ->
-                                let s = Atomic.fetch_and_add cursor grain in
-                                if s >= n then None
-                                else Some (s, min n (s + grain))
-                          | Some b ->
-                              let cursor = Atomic.make 0 in
-                              let segs = Array.length b - 1 in
-                              fun () ->
-                                let k = Atomic.fetch_and_add cursor 1 in
-                                if k >= segs then None
-                                else Some (b.(k), b.(k + 1))
-                        in
-                        launch (fun w ->
-                            let stw = states.(w) in
-                            let rec pull () =
-                              match next () with
-                              | None -> ()
-                              | Some (lo, hi) ->
-                                  if log_chunks && w > 0 then
-                                    logs.(w) <- (lo, hi) :: logs.(w);
-                                  iter stw lo hi;
-                                  pull ()
-                            in
-                            pull ()));
+                      | None ->
+                          (* align-multiples as steal units, so every cut
+                             keeps narrow outputs cache-line aligned; past
+                             [steal_max_units] units the span widens to a
+                             larger multiple of [align] *)
+                          let aligned = (n + align - 1) / align in
+                          let span =
+                            align
+                            * ((aligned + steal_max_units - 1)
+                              / steal_max_units)
+                          in
+                          run_stealing ~units:((n + span - 1) / span)
+                            ~grain_u:(max 1 (grain / span)) ~d
+                            ~run_chunk:(fun w u0 u1 ->
+                              run_range w (u0 * span) (min n (u1 * span)))
+                            ~launch
+                    in
+                    if stolen > 0 then
+                      ignore
+                        (Atomic.fetch_and_add total_stolen_chunks stolen : int);
                     (* stitch: copy each worker's chunk regions back into
                        the shared outputs (regions are disjoint across
                        workers by the witness, so order does not matter) *)

@@ -103,16 +103,13 @@ val reason_totals : unit -> (string * int) list
     earn a [Par] verdict from {!Tir.Analysis.loop_disjointness} run their
     iterations across a fixed pool of OCaml domains: each domain gets a
     private copy of the slot arrays (tensors stay shared — the witnesses
-    guarantee write regions are disjoint) and pulls contiguous iteration
-    chunks from a scheduler.  Uniform-cost loops use an atomic cursor
-    ({!chunk_grain} iterations each); loops with skewed per-iteration
-    costs ({!Tir.Analysis.loop_skew_hint}, or any gather witness) use
-    work-stealing chunk deques — each worker owns a contiguous range,
-    pops grain-sized chunks off its low end, and steals the upper half of
-    another worker's range when its own runs dry.  Steal cuts land only
-    on boundaries the cursor could have produced (align multiples or
-    monotone-map segments), and chunks are logged by whichever worker ran
-    them, so outputs stay bit-identical to serial execution.
+    guarantee write regions are disjoint) and runs contiguous iteration
+    chunks handed out by one work-stealing scheduler: each worker owns a
+    contiguous range, pops chunks of {!chunk_grain} iterations off its low
+    end, and steals the upper half of another worker's range when its own
+    runs dry.  Cuts land only on align multiples or monotone-map segment
+    bounds, and chunks are logged by whichever worker ran them, so outputs
+    stay bit-identical to serial execution.
 
     The runtime is persistent per artifact: replica states, chunk logs and
     narrow-output strip copies are cached on each parallel loop site and
@@ -140,7 +137,7 @@ val reason_totals : unit -> (string * int) list
     per run, so memoized artifacts remain valid when the knob changes. *)
 
 val chunk_grain : n:int -> domains:int -> align:int -> int
-(** Iterations per atomic-cursor chunk for an [n]-iteration loop across
+(** Iterations per scheduler chunk for an [n]-iteration loop across
     [domains] domains: ceil(n / (4 * domains)) — at most [4 * domains]
     chunks, never a degenerate 1-iteration flood at small [n] — rounded up
     to a multiple of [align] and capped at one aligned per-domain share.
@@ -168,8 +165,8 @@ val replica_builds : unit -> int
     drivers race for one artifact's cache. *)
 
 val stolen_chunks : unit -> int
-(** Steal transfers performed by the work-stealing scheduler since the last
-    {!reset} (0 when every loop used the cursor or no parallelism ran). *)
+(** Steal transfers performed by parallel loops since the last {!reset}
+    (0 when no loop ran parallel or no worker ever ran dry early). *)
 
 (** {1 Domain leases}
 
@@ -228,11 +225,11 @@ val join_driver : 'a driver -> 'a
 
 val parallel_tasks : int -> (int -> unit) -> unit
 (** [parallel_tasks k f] runs [f 0 .. f (k-1)] to completion in one parallel
-    region, spread over its domains via an atomic cursor.  Tasks must be
-    independent; no ordering is guaranteed between them.  The first
-    exception any task raises is re-raised after all tasks finish.  Runs
-    serially when no second domain is free or when called from inside a
-    task. *)
+    region, one task per steal unit of the work-stealing scheduler.  Tasks
+    must be independent; no ordering is guaranteed between them.  The
+    first exception any task raises is re-raised after all tasks finish.
+    Runs serially (stopping at the first exception) when no second domain
+    is free or when called from inside a task. *)
 
 val parallel_width : unit -> int
 (** The width a {!parallel_tasks} call on this domain would get if it opened

@@ -91,7 +91,3 @@ let access_run (c : t) ~(base : int) ~(stride : int) ~(count : int)
       h := !h + h'; m := !m + m'
     done;
   (!h, !m)
-
-let hit_rate (c : t) : float =
-  let total = c.hits + c.misses in
-  if total = 0 then 1.0 else float_of_int c.hits /. float_of_int total

@@ -25,5 +25,3 @@ val access_range : t -> addr:int -> bytes:int -> int * int
 
 val access_run : t -> base:int -> stride:int -> count:int -> bytes:int -> int * int
 (** Strided run of accesses; dense sub-line strides collapse to a sweep. *)
-
-val hit_rate : t -> float

@@ -211,7 +211,7 @@ type t = {
   mutable next_id : int;
   mutable pending : request list;  (** arrival order *)
   mutable inflight : inflight list;
-  mutable completed : request list;
+  mutable latencies_ms : float list;  (** one per retired request *)
   mutable batches : int;
   mutable launches : int;  (** batched-artifact runs (steps x batches) *)
   mutable occupancy_sum : int;  (** requests summed over batches *)
@@ -236,7 +236,7 @@ let create ?(config = default_config) () : t =
     next_id = 0;
     pending = [];
     inflight = [];
-    completed = [];
+    latencies_ms = [];
     batches = 0;
     launches = 0;
     occupancy_sum = 0;
@@ -411,14 +411,16 @@ let run_plan plan (reqs : request list) : unit =
       List.iter (fun r -> r.rq_done <- tdone) reqs)
     (fun () -> List.iter (fun (c, args) -> Engine.run c args) plan)
 
-(* Move a finished batch's requests to [completed]. *)
+(* Record a finished batch's latencies; the server keeps no reference to
+   the requests themselves, so their funcs and tensors stay collectable. *)
 let retire (t : t) (reqs : request list) : unit =
   List.iter
     (fun r ->
       t.t_last <-
-        (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done))
-    reqs;
-  t.completed <- reqs @ t.completed
+        (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done);
+      t.latencies_ms <-
+        ((r.rq_done -. r.rq_arrival) *. 1000.0) :: t.latencies_ms)
+    reqs
 
 (* Post a batch onto a leased pool worker; its plan is formed on the
    draining domain once the lease is granted.  [false] when the budget has
@@ -543,11 +545,8 @@ let percentile (sorted : float array) (p : float) : float =
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let stats (t : t) : stats =
-  let n = List.length t.completed in
-  let lats =
-    Array.of_list
-      (List.map (fun r -> (r.rq_done -. r.rq_arrival) *. 1000.0) t.completed)
-  in
+  let lats = Array.of_list t.latencies_ms in
+  let n = Array.length lats in
   Array.sort compare lats;
   let wall =
     if Float.is_nan t.t_first || Float.is_nan t.t_last then 0.0

@@ -133,11 +133,3 @@ val loop_disjointness : Ir.var -> Ir.stmt -> verdict
     failure's reason and is always safe (the executor falls back to serial
     execution). *)
 
-val loop_skew_hint : Ir.var -> Ir.stmt -> bool
-(** [loop_skew_hint x body] is true when [body] contains an inner loop whose
-    extent is data-dependent on the iteration over [x] — the extent loads a
-    buffer (or bounds a binary search) at an index mentioning [x], directly
-    or through let/block bindings.  Such loops (variable-nnz CSR rows, hyb
-    buckets) have skewed per-iteration costs; the engine picks its
-    work-stealing scheduler over the fixed-grain cursor on this purely
-    structural hint, so false positives are harmless. *)

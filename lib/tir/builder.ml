@@ -113,10 +113,6 @@ let ( >: ) a b = Binop (Gt, a, b)
 let ( >=: ) a b = Binop (Ge, a, b)
 let ( &&: ) a b = Binop (And, a, b)
 let ( ||: ) a b = Binop (Or, a, b)
-let not_ a = Unop (Not, a)
-let neg a = Unop (Neg, a)
-let exp_ a = Unop (Exp, a)
-let sqrt_ a = Unop (Sqrt, a)
 let select c t f = Select (c, t, f)
 let cast dt e = Cast (dt, e)
 let f16 e = Cast (Dtype.F16, e)
@@ -193,10 +189,6 @@ let for_ ?(kind = Serial) name extent (f : expr -> stmt) : stmt =
   For { for_var = x; extent; kind; body = f (Evar x) }
 
 let if_ cond then_ = If (cond, then_, None)
-let if_else cond then_ else_ = If (cond, then_, Some else_)
-let let_ name value (f : expr -> stmt) : stmt =
-  let x = var ~dtype:(dtype_of value) name in
-  Let_stmt (x, value, f (Evar x))
 
 let alloc buf body = Alloc (buf, body)
 

@@ -680,6 +680,83 @@ let test_stealing_skewed_bit_identical () =
   Alcotest.(check bool) "stolen-chunk counter monotone" true
     (Engine.stolen_chunks () >= stolen0)
 
+(* SDDMM's edge loops are uniform-cost direct-witness loops; they run on the
+   same work-stealing scheduler as every other parallel loop.  The
+   4-domain run must match the serial compiled run and the interpreter
+   bit-for-bit, with no serial fallback. *)
+let test_sddmm_parallel_bit_identical () =
+  let a = graph () in
+  let feat = 8 in
+  let xs = Dense.random ~seed:3 a.Csr.rows feat in
+  let ys = Dense.random ~seed:4 feat a.Csr.cols in
+  List.iter
+    (fun (name, (c : Kernels.Sddmm.compiled)) ->
+      let exec ?engine nd =
+        Tir.Tensor.fill_f c.Kernels.Sddmm.out 0.0;
+        Gpusim.execute ?engine ~num_domains:nd c.Kernels.Sddmm.fn
+          c.Kernels.Sddmm.bindings;
+        Tir.Tensor.to_float_array c.Kernels.Sddmm.out
+      in
+      let interp = exec ~engine:Engine.Interp 1 in
+      let serial = exec 1 in
+      let parallel = exec 4 in
+      let art = Engine.artifact c.Kernels.Sddmm.fn in
+      Alcotest.(check bool) (name ^ " ran parallel") true
+        (Engine.par_runs art >= 1);
+      Alcotest.(check int) (name ^ " never fell back") 0
+        (Engine.fallback_runs art);
+      Alcotest.(check bool) (name ^ ": interp = serial = 4-domain") true
+        (interp = serial && serial = parallel))
+    [ ("sddmm_sparsetir", Kernels.Sddmm.sparsetir a xs ys ~feat);
+      ("sddmm_dgsparse", Kernels.Sddmm.dgsparse a xs ys ~feat) ]
+
+let with_budget (d : int) (f : unit -> 'a) : 'a =
+  let saved = Engine.num_domains () in
+  Engine.set_num_domains d;
+  Fun.protect ~finally:(fun () -> Engine.set_num_domains saved) f
+
+(* parallel_tasks hands each task index to the stealing deques as one unit:
+   every index runs exactly once, for no tasks, one, fewer than the width
+   and far more; parallel task bodies see a width of 1 (nested fan-out is
+   serial). *)
+let test_parallel_tasks_exactly_once () =
+  with_budget 4 (fun () ->
+      List.iter
+        (fun k ->
+          let hits = Array.init k (fun _ -> Atomic.make 0) in
+          let nested_wide = Atomic.make 0 in
+          Engine.parallel_tasks k (fun i ->
+              if Engine.parallel_width () <> 1 then Atomic.incr nested_wide;
+              Atomic.incr hits.(i));
+          Array.iteri
+            (fun i h ->
+              if Atomic.get h <> 1 then
+                Alcotest.failf "k=%d: task %d ran %d times" k i (Atomic.get h))
+            hits;
+          (* a single task runs inline, outside any parallel region *)
+          if k > 1 then
+            Alcotest.(check int)
+              (Printf.sprintf "k=%d: task bodies see width 1" k)
+              0 (Atomic.get nested_wide))
+        [ 0; 1; 3; 1000 ])
+
+(* A raising task does not stop its siblings: every other task still runs,
+   the exception re-raises after the join, and the region's lease is
+   returned. *)
+let test_parallel_tasks_reraise () =
+  with_budget 4 (fun () ->
+      let leases0 = Engine.leases_in_use () in
+      let k = 64 in
+      let ran = Array.init k (fun _ -> Atomic.make 0) in
+      Alcotest.check_raises "task exception re-raised" (Failure "task 5")
+        (fun () ->
+          Engine.parallel_tasks k (fun i ->
+              Atomic.incr ran.(i);
+              if i = 5 then failwith "task 5"));
+      Alcotest.(check bool) "every task ran once" true
+        (Array.for_all (fun h -> Atomic.get h = 1) ran);
+      Alcotest.(check int) "lease returned" leases0 (Engine.leases_in_use ()))
+
 let () =
   Alcotest.run "engine"
     [ ( "differential",
@@ -722,4 +799,10 @@ let () =
           Alcotest.test_case "replica cache: reuse and invalidation" `Quick
             test_replica_reuse;
           Alcotest.test_case "work stealing: skewed hyb bit-identical" `Quick
-            test_stealing_skewed_bit_identical ] ) ]
+            test_stealing_skewed_bit_identical;
+          Alcotest.test_case "sddmm 4-domain = serial = interp" `Quick
+            test_sddmm_parallel_bit_identical;
+          Alcotest.test_case "parallel_tasks runs each index once" `Quick
+            test_parallel_tasks_exactly_once;
+          Alcotest.test_case "parallel_tasks re-raises after join" `Quick
+            test_parallel_tasks_reraise ] ) ]

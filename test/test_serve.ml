@@ -266,6 +266,37 @@ let test_evolving_traffic () =
       let st = Serve.stats s in
       Alcotest.(check int) "every epoch served" 4 st.Serve.s_requests)
 
+(* ---------------- bounded memory ---------------- *)
+
+(* Submit one SpMM request and drain it; returns a weak handle on the
+   request's output tensor.  Kept out of line so no caller frame holds the
+   kernel, its bindings or the request. *)
+let[@inline never] serve_one (s : Serve.t) : Tir.Tensor.t Weak.t =
+  let a = graph () in
+  let feat = 8 in
+  let c = Kernels.Spmm.dgsparse a (Dense.random ~seed:7 a.Csr.cols feat) ~feat in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some c.Kernels.Spmm.out);
+  ignore
+    (Serve.submit s ~tenant:"gc"
+       [ (c.Kernels.Spmm.fn, c.Kernels.Spmm.bindings) ]);
+  Serve.drain s;
+  w
+
+(* A server keeps only the count and latencies of retired requests: once
+   the caller drops its handles, a drained request's output tensor is
+   collectable while the server itself lives on. *)
+let test_drained_outputs_collectable () =
+  with_domains 1 (fun () ->
+      let s = Serve.create () in
+      let w = serve_one s in
+      Gc.full_major ();
+      Alcotest.(check bool) "drained output collected" false (Weak.check w 0);
+      let st = Serve.stats s in
+      Alcotest.(check int) "stats still count the request" 1
+        st.Serve.s_requests;
+      Alcotest.(check bool) "latency recorded" true (st.Serve.s_p50_ms > 0.0))
+
 let () =
   Alcotest.run "serve"
     [ ( "batching",
@@ -285,4 +316,7 @@ let () =
             test_steady_state_warm_hits ] );
       ( "evolving",
         [ Alcotest.test_case "evolving tenant = cold rebuild" `Quick
-            test_evolving_traffic ] ) ]
+            test_evolving_traffic ] );
+      ( "memory",
+        [ Alcotest.test_case "drained outputs collectable" `Quick
+            test_drained_outputs_collectable ] ) ]
