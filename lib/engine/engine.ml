@@ -419,10 +419,10 @@ let parallel_width () : int =
     | None -> max 1 (Mutex.protect lease_lock free_units)
 
 (* Run [f 0] .. [f (k-1)] in one parallel region, one task per steal unit.
-   Tasks must be independent — the call gives no ordering between them.  A
-   raising task does not stop the others: every task runs, and the first
-   exception re-raises after the join.  Used by the format constructors
-   ([Descriptor.build], [Hyb.of_csr]) for partition-parallel construction. *)
+   Tasks must be independent — the call gives no ordering between them.  The
+   first exception a task raises re-raises after the join ([Pool.run_on]).
+   Used by the format constructors ([Descriptor.build], [Hyb.of_csr]) for
+   partition-parallel construction. *)
 let parallel_tasks (k : int) (f : int -> unit) : unit =
   let want = if !(Domain.DLS.get in_parallel_tasks) then 1 else k in
   with_region want (fun d launch ->
@@ -431,11 +431,9 @@ let parallel_tasks (k : int) (f : int -> unit) : unit =
           f i
         done
       else
-        let failed = Atomic.make None in
         let run_chunk _ lo hi =
           for i = lo to hi - 1 do
-            try f i
-            with e -> ignore (Atomic.compare_and_set failed None (Some e))
+            f i
           done
         in
         let launch body =
@@ -444,8 +442,7 @@ let parallel_tasks (k : int) (f : int -> unit) : unit =
               flag := true;
               Fun.protect ~finally:(fun () -> flag := false) (fun () -> body w))
         in
-        ignore (run_stealing ~units:k ~grain_u:1 ~d ~run_chunk ~launch : int);
-        Option.iter raise (Atomic.get failed))
+        ignore (run_stealing ~units:k ~grain_u:1 ~d ~run_chunk ~launch : int))
 
 (* ------------------------------------------------------------------ *)
 (* Chunking and output tiling                                           *)
@@ -457,14 +454,12 @@ let cache_line_bytes = 64
    to clone and stitch than the false sharing it avoids. *)
 let strip_numel_cap = 1 lsl 16
 
-(* Chunk grain for the parallel scheduler.  The old
-   [max 1 (n / (4 * d))] floor degenerated to single-iteration chunks
-   whenever [n < 4 * d] (n atomic fetches for n iterations) and let the
-   final fetch issue a 1-iteration straggler; the ceiling issues at most
-   [4 * d] chunks.  [align] rounds the grain up to an iteration multiple
-   whose output rows start on a cache-line boundary (1 when no tiling
-   applies); the grain is capped at one aligned per-domain share so small
-   loops still spread across every domain. *)
+(* Chunk grain for the stealing scheduler: the ceiling of [n / (4 * d)]
+   cuts a loop into at most [4 * d] chunks, so each owner pops about four
+   chunks off its range however long the loop is.  [align] rounds the grain
+   up to an iteration multiple whose output rows start on a cache-line
+   boundary (1 when no tiling applies); the grain is capped at one aligned
+   per-domain share so small loops still spread across every domain. *)
 let chunk_grain ~(n : int) ~(domains : int) ~(align : int) : int =
   if n <= 0 then 1
   else

@@ -227,9 +227,9 @@ val parallel_tasks : int -> (int -> unit) -> unit
 (** [parallel_tasks k f] runs [f 0 .. f (k-1)] to completion in one parallel
     region, one task per steal unit of the work-stealing scheduler.  Tasks
     must be independent; no ordering is guaranteed between them.  The
-    first exception any task raises is re-raised after all tasks finish.
-    Runs serially (stopping at the first exception) when no second domain
-    is free or when called from inside a task. *)
+    first exception a task raises is re-raised after the join.  Runs
+    serially when no second domain is free or when called from inside a
+    task. *)
 
 val parallel_width : unit -> int
 (** The width a {!parallel_tasks} call on this domain would get if it opened
